@@ -19,6 +19,12 @@
 //! knobs and their determinism contract are documented on
 //! [`BoOptions`](BoOptions#determinism-and-refit-cadence).
 //!
+//! [`minimize`] runs the loop to completion; [`BoSearch`] is the same
+//! loop as an ask/tell state object (`propose` a batch, `observe` its
+//! values, `finish`) for callers that evaluate batches on their own
+//! schedule — the CAFQA job server parks a search between slices this
+//! way, bit-identically to the uninterrupted run.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,8 +49,5 @@ mod tree;
 
 pub use exec::{map_jobs, Executor, Job, SerialExec};
 pub use forest::{ForestOptions, RandomForest};
-pub use search::{
-    minimize, minimize_suspendable_with, minimize_with, BatchStatus, BoOptions, BoResult,
-    Evaluation, SearchSpace,
-};
+pub use search::{minimize, minimize_with, BoOptions, BoResult, BoSearch, Evaluation, SearchSpace};
 pub use tree::{RegressionTree, TreeOptions};

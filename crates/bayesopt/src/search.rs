@@ -60,7 +60,7 @@ impl SearchSpace {
     }
 }
 
-/// Options for [`minimize`].
+/// Options for [`minimize`] and [`BoSearch`].
 ///
 /// # Determinism and refit cadence
 ///
@@ -86,7 +86,9 @@ impl SearchSpace {
 ///    [`seed`](Self::seed): the same options and objective produce the
 ///    same trace, bit for bit, on any host — and executor width never
 ///    matters ([`minimize_with`] shards only independent per-candidate
-///    work, reassembled in submission order).
+///    work, reassembled in submission order). Driving a [`BoSearch`] by
+///    hand is the same loop, so it is bit-identical too, however long
+///    the caller pauses between batches.
 /// 2. `B = 1` reproduces the classic one-candidate-per-refit loop
 ///    exactly (same RNG draws, same `min_by` tie-breaks, same
 ///    `refit_every` staleness).
@@ -162,22 +164,6 @@ pub struct Evaluation {
     pub best_so_far: f64,
 }
 
-/// One step of an interruptible batch objective
-/// ([`minimize_suspendable_with`]): either the evaluated values for the
-/// proposed batch, or a request to suspend the search *before* the batch
-/// is evaluated.
-#[derive(Debug, Clone)]
-pub enum BatchStatus {
-    /// The batch was evaluated: one value per configuration, in order.
-    Values(Vec<f64>),
-    /// Suspend the search now. The proposed batch is discarded
-    /// unevaluated; the returned history contains only completed
-    /// evaluations, so a deterministic caller can replay it later and
-    /// continue from exactly this point (see the resume notes on
-    /// [`minimize_suspendable_with`]).
-    Suspend,
-}
-
 /// The outcome of a [`minimize`] run.
 #[derive(Debug, Clone)]
 pub struct BoResult {
@@ -191,54 +177,6 @@ pub struct BoResult {
     /// Index (1-based) of the evaluation that first achieved the final
     /// best value — the paper's Fig. 15 metric.
     pub iterations_to_best: usize,
-}
-
-/// Bookkeeping shared by the warm-up and acquisition phases: evaluation
-/// results are folded in **submission order**, so the trace is identical
-/// however the batch was computed.
-struct SearchState {
-    xs: Vec<Vec<usize>>,
-    ys: Vec<f64>,
-    history: Vec<Evaluation>,
-    seen: HashSet<Vec<usize>>,
-    best: f64,
-    best_config: Vec<usize>,
-    iterations_to_best: usize,
-}
-
-impl SearchState {
-    fn new() -> Self {
-        SearchState {
-            xs: Vec::new(),
-            ys: Vec::new(),
-            history: Vec::new(),
-            seen: HashSet::new(),
-            best: f64::INFINITY,
-            best_config: Vec::new(),
-            iterations_to_best: 0,
-        }
-    }
-
-    fn record(&mut self, config: Vec<usize>, value: f64) {
-        if value < self.best - 1e-15 {
-            self.best = value;
-            self.best_config = config.clone();
-            self.iterations_to_best = self.history.len() + 1;
-        }
-        self.seen.insert(config.clone());
-        self.history.push(Evaluation { config: config.clone(), value, best_so_far: self.best });
-        self.xs.push(config);
-        self.ys.push(value);
-    }
-
-    fn into_result(self) -> BoResult {
-        BoResult {
-            best_config: self.best_config,
-            best_value: self.best,
-            history: self.history,
-            iterations_to_best: self.iterations_to_best,
-        }
-    }
 }
 
 /// Minimizes a black-box **batch** objective over a discrete space.
@@ -285,7 +223,8 @@ pub fn minimize(
 /// [`minimize`] with surrogate scoring sharded over `exec` (the CAFQA
 /// runner passes its persistent worker-pool engine). The trajectory is
 /// bit-identical to [`minimize`] at any executor width: predictions are
-/// independent per candidate and reassembled in pool order.
+/// independent per candidate and reassembled in pool order. This is a
+/// short loop over [`BoSearch`].
 pub fn minimize_with(
     space: &SearchSpace,
     mut objective: impl FnMut(&[Vec<usize>]) -> Vec<f64>,
@@ -293,203 +232,266 @@ pub fn minimize_with(
     opts: &BoOptions,
     exec: &dyn Executor,
 ) -> BoResult {
-    let (result, completed) = minimize_suspendable_with(
-        space,
-        |batch| BatchStatus::Values(objective(batch)),
-        seeds,
-        opts,
-        exec,
-    );
-    debug_assert!(completed, "an always-Values objective can never suspend");
-    result
+    let mut search = BoSearch::new(space, seeds, opts);
+    while let Some(batch) = search.propose(exec) {
+        let values = objective(batch);
+        search.observe(&values);
+    }
+    search.finish()
 }
 
-/// [`minimize_with`] with a cooperative suspension point before every
-/// objective batch — the seam behind checkpoint/resume and the job
-/// server's fair-share time slicing.
+/// The BO loop as an ask/tell state machine: [`propose`](Self::propose)
+/// the next batch, evaluate it however and whenever the caller likes,
+/// [`observe`](Self::observe) the values, repeat until `propose` returns
+/// `None`, then [`finish`](Self::finish).
 ///
-/// The objective is consulted once per batch (the whole seeds + warm-up
-/// phase is one batch, then one batch per acquisition cycle) and may
-/// answer [`BatchStatus::Suspend`] instead of evaluating. The search
-/// stops immediately: the proposed batch is discarded and the returned
-/// [`BoResult`] holds only the completed evaluations, with the second
-/// tuple element `false` (`true` means the budget ran to completion).
+/// The search owns all of its state (RNG cursor, history, surrogate,
+/// budget and patience counters) and borrows nothing, so a caller can
+/// park it between batches at no cost — the job server's fair-share
+/// slicing simply stops stepping a job. Driving it by hand with the same
+/// values is bit-identical to [`minimize_with`], which is exactly such a
+/// loop.
 ///
-/// # Resuming
+/// # Examples
 ///
-/// Every decision the loop makes — RNG draws, pool construction,
-/// surrogate fits, acquisition ranking — is a pure function of
-/// ([`BoOptions::seed`], the values returned by the objective). A caller
-/// that re-runs this function and serves the recorded history values
-/// back (instead of recomputing them) therefore reproduces the exact
-/// pre-suspension state — same RNG cursor, same incumbent, same pending
-/// proposals — and the continuation is **bit-identical to an
-/// uninterrupted run**. `cafqa_core::run_cafqa_resumable_on` wraps
-/// exactly that replay contract.
-pub fn minimize_suspendable_with(
-    space: &SearchSpace,
-    mut objective: impl FnMut(&[Vec<usize>]) -> BatchStatus,
-    seeds: &[Vec<usize>],
-    opts: &BoOptions,
-    exec: &dyn Executor,
-) -> (BoResult, bool) {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut state = SearchState::new();
+/// ```
+/// use cafqa_bayesopt::{BoOptions, BoSearch, SearchSpace, SerialExec};
+///
+/// let space = SearchSpace::uniform(4, 4);
+/// let opts = BoOptions { warmup: 20, iterations: 40, ..Default::default() };
+/// let mut search = BoSearch::new(&space, &[], &opts);
+/// while let Some(batch) = search.propose(&SerialExec) {
+///     let values: Vec<f64> = batch.iter().map(|c| c.iter().sum::<usize>() as f64).collect();
+///     search.observe(&values);
+/// }
+/// assert_eq!(search.finish().best_value, 0.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BoSearch {
+    space: SearchSpace,
+    opts: BoOptions,
+    rng: StdRng,
+    /// Every evaluated configuration and its value, in fold order.
+    xs: Vec<Vec<usize>>,
+    ys: Vec<f64>,
+    /// The best value so far after each evaluation.
+    bests: Vec<f64>,
+    seen: HashSet<Vec<usize>>,
+    /// 1-based index of the evaluation that set the current best (0: none).
+    iterations_to_best: usize,
+    /// The proposed batch awaiting its values (empty when none is): the
+    /// seeds + warm-up draws until the first `observe`.
+    batch: Vec<Vec<usize>>,
+    /// No batch beyond the seeds + warm-up phase has been proposed.
+    in_warmup: bool,
+    forest: Option<Arc<RandomForest>>,
+    evaluated: usize,
+    cycle: usize,
+    stale: usize,
+    /// Patience ran out.
+    stopped: bool,
+}
 
-    // Seeds (e.g. the HF configuration) and warm-up random sampling:
-    // sampling touches the RNG, evaluation does not, so drawing the whole
-    // phase up front consumes the same RNG stream as the classic
-    // interleaved loop — and the evaluation becomes one (embarrassingly
-    // parallel) batch.
-    let mut warmup_batch: Vec<Vec<usize>> = Vec::with_capacity(seeds.len() + opts.warmup);
-    for seed in seeds {
-        assert_eq!(seed.len(), space.dims(), "seed dimensionality mismatch");
-        warmup_batch.push(seed.clone());
-    }
-    for _ in 0..opts.warmup {
-        warmup_batch.push(space.sample(&mut rng));
-    }
-    if evaluate_batch(&mut objective, warmup_batch, &mut state).is_none() {
-        return (state.into_result(), false);
-    }
-
-    let proposals = opts.proposals_per_refit.max(1);
-    let mut forest: Option<Arc<RandomForest>> = None;
-    let mut evaluated = 0usize;
-    let mut cycle = 0usize;
-    let mut stale = 0usize;
-    'cycles: while evaluated < opts.iterations {
-        let batch_size = proposals.min(opts.iterations - evaluated);
-        // With no history at all (`warmup == 0`, no seeds) there is
-        // nothing to fit or mutate: fall back to uniform sampling until
-        // the first evaluations land.
-        let picks: Vec<Vec<usize>> = if state.xs.is_empty() {
-            (0..batch_size).map(|_| space.sample(&mut rng)).collect()
-        } else {
-            if forest.is_none() || cycle % opts.refit_every.max(1) == 0 {
-                forest = Some(Arc::new(RandomForest::fit(
-                    &state.xs,
-                    &state.ys,
-                    &space.cardinalities,
-                    &opts.forest,
-                    &mut rng,
-                )));
-            }
-            let model = forest.as_ref().expect("fitted above");
-            // Candidate pool: incumbent mutations + uniform samples. The
-            // pool scales with the batch size — `candidates` is a
-            // *per-proposal* budget, so a B-proposal cycle explores the
-            // same diversity per evaluation as B classic iterations (and
-            // at B = 1 this is exactly the classic pool). NaN objective
-            // values (either sign — `0.0/0.0` is −NaN on x86) are
-            // excluded outright so they can never seed the incumbent
-            // mutations; `total_cmp` keeps the remaining ordering
-            // well-defined.
-            let pool_size = opts.candidates.saturating_mul(batch_size).max(1);
-            let mut pool: Vec<Vec<usize>> = Vec::with_capacity(pool_size);
-            let mut order: Vec<usize> =
-                (0..state.ys.len()).filter(|&i| !state.ys[i].is_nan()).collect();
-            order.sort_by(|&a, &b| state.ys[a].total_cmp(&state.ys[b]));
-            if !order.is_empty() {
-                let n_mut = (pool_size / 2).max(1);
-                for k in 0..n_mut {
-                    let base = &state.xs[order[k % opts.top_k.min(order.len()).max(1)]];
-                    pool.push(space.mutate(base, &mut rng, 3));
-                }
-            }
-            while pool.len() < pool_size {
-                pool.push(space.sample(&mut rng));
-            }
-            // Acquisition: the surrogate ranks the whole pool once (a
-            // stale forest still scores the *current* pool), then each of
-            // the `batch_size` proposal slots draws ε-greedy: explore →
-            // uniform pool member, exploit → next-best unseen prediction.
-            // Ranking is lazy so an all-explore cycle never pays for it;
-            // it consumes no RNG either way, keeping `B = 1` draws
-            // identical to the classic loop.
-            let mut ranked: Option<Vec<usize>> = None;
-            let mut picks: Vec<Vec<usize>> = Vec::with_capacity(batch_size);
-            let mut picked: HashSet<Vec<usize>> = HashSet::new();
-            for _ in 0..batch_size {
-                let pick = if rng.gen::<f64>() < opts.epsilon {
-                    pool[rng.gen_range(0..pool.len())].clone()
-                } else {
-                    let ranked = ranked.get_or_insert_with(|| {
-                        let predictions = model.predict_batch_on(&pool, exec);
-                        // Stable ascending sort: among equal predictions
-                        // the earliest pool entry ranks first, matching
-                        // the classic `min_by` tie-break.
-                        let mut indices: Vec<usize> =
-                            (0..pool.len()).filter(|&i| !predictions[i].is_nan()).collect();
-                        indices.sort_by(|&a, &b| predictions[a].total_cmp(&predictions[b]));
-                        indices
-                    });
-                    ranked
-                        .iter()
-                        .map(|&i| &pool[i])
-                        .find(|c| !state.seen.contains(*c) && !picked.contains(*c))
-                        .cloned()
-                        .unwrap_or_else(|| space.sample(&mut rng))
-                };
-                picked.insert(pick.clone());
-                picks.push(pick);
-            }
-            picks
-        };
-
-        let batch_len = picks.len();
-        let Some(best_transitions) = evaluate_batch(&mut objective, picks, &mut state) else {
-            return (state.into_result(), false);
-        };
-        evaluated += batch_len;
-        cycle += 1;
-        if opts.patience > 0 {
-            for (before, after) in best_transitions {
-                if before - after > opts.patience_tol {
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= opts.patience {
-                        break 'cycles;
-                    }
-                }
-            }
+impl BoSearch {
+    /// Starts a search: `seeds` (e.g. the HF configuration) come first,
+    /// then `opts.warmup` uniform samples. Sampling touches the RNG,
+    /// evaluation does not, so drawing the whole phase up front consumes
+    /// the same RNG stream as the classic interleaved loop — and the
+    /// phase becomes the first (embarrassingly parallel) batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed's length differs from `space.dims()`.
+    pub fn new(space: &SearchSpace, seeds: &[Vec<usize>], opts: &BoOptions) -> Self {
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut batch: Vec<Vec<usize>> = Vec::with_capacity(seeds.len() + opts.warmup);
+        for seed in seeds {
+            assert_eq!(seed.len(), space.dims(), "seed dimensionality mismatch");
+            batch.push(seed.clone());
+        }
+        for _ in 0..opts.warmup {
+            batch.push(space.sample(&mut rng));
+        }
+        BoSearch {
+            space: space.clone(),
+            opts: opts.clone(),
+            rng,
+            xs: Vec::new(),
+            ys: Vec::new(),
+            bests: Vec::new(),
+            seen: HashSet::new(),
+            iterations_to_best: 0,
+            batch,
+            in_warmup: true,
+            forest: None,
+            evaluated: 0,
+            cycle: 0,
+            stale: 0,
+            stopped: false,
         }
     }
 
-    (state.into_result(), true)
-}
+    /// The next batch to evaluate — the seeds + warm-up phase first, then
+    /// one acquisition cycle of at most
+    /// [`proposals_per_refit`](BoOptions::proposals_per_refit) candidates
+    /// (surrogate scoring sharded over `exec`) — or `None` once the
+    /// iteration budget is spent or patience ran out. Batches are never
+    /// empty. Calling it again before [`observe`](Self::observe) returns
+    /// the same batch.
+    pub fn propose(&mut self, exec: &dyn Executor) -> Option<&[Vec<usize>]> {
+        if self.batch.is_empty() {
+            // Nothing pending, so the warm-up phase is over (or was empty).
+            self.in_warmup = false;
+            if self.stopped || self.evaluated >= self.opts.iterations {
+                return None;
+            }
+            self.batch = self.acquire(exec);
+        }
+        Some(&self.batch)
+    }
 
-/// Evaluates `batch` through the objective and folds the results into
-/// the state in submission order. Returns the `(before, after)`
-/// best-so-far transition of each evaluation — the patience counter
-/// replays them exactly as the classic per-evaluation loop would —
-/// or `None` when the objective chose to suspend (the batch is then
-/// discarded unevaluated and the state is untouched).
-fn evaluate_batch(
-    objective: &mut impl FnMut(&[Vec<usize>]) -> BatchStatus,
-    batch: Vec<Vec<usize>>,
-    state: &mut SearchState,
-) -> Option<Vec<(f64, f64)>> {
-    if batch.is_empty() {
-        return Some(Vec::new());
+    /// Folds the values of the proposed batch into the search, in
+    /// submission order, so the trace is identical however the batch was
+    /// computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is awaiting values, or if `values` does not
+    /// hold exactly one value per proposed configuration.
+    pub fn observe(&mut self, values: &[f64]) {
+        assert!(!self.batch.is_empty(), "observe called without a proposed batch");
+        assert_eq!(
+            values.len(),
+            self.batch.len(),
+            "batch objective must return one value per configuration"
+        );
+        let batch = std::mem::take(&mut self.batch);
+        let batch_len = batch.len();
+        // Patience counts acquisition evaluations only, replaying each
+        // `(before, after)` best-so-far transition exactly as the classic
+        // per-evaluation loop would.
+        let count_patience = !self.in_warmup && self.opts.patience > 0;
+        for (config, &value) in batch.into_iter().zip(values) {
+            let before = self.bests.last().copied().unwrap_or(f64::INFINITY);
+            let mut best = before;
+            if value < before - 1e-15 {
+                best = value;
+                self.iterations_to_best = self.xs.len() + 1;
+            }
+            self.seen.insert(config.clone());
+            self.xs.push(config);
+            self.ys.push(value);
+            self.bests.push(best);
+            if count_patience && !self.stopped {
+                if before - best > self.opts.patience_tol {
+                    self.stale = 0;
+                } else {
+                    self.stale += 1;
+                    self.stopped = self.stale >= self.opts.patience;
+                }
+            }
+        }
+        if self.in_warmup {
+            self.in_warmup = false;
+        } else {
+            self.evaluated += batch_len;
+            self.cycle += 1;
+        }
     }
-    let values = match objective(&batch) {
-        BatchStatus::Values(values) => values,
-        BatchStatus::Suspend => return None,
-    };
-    assert_eq!(
-        values.len(),
-        batch.len(),
-        "batch objective must return one value per configuration"
-    );
-    let mut transitions = Vec::with_capacity(batch.len());
-    for (config, value) in batch.into_iter().zip(values) {
-        let before = state.best;
-        state.record(config, value);
-        transitions.push((before, state.best));
+
+    /// The search outcome over every observed evaluation.
+    pub fn finish(self) -> BoResult {
+        let best_config = match self.iterations_to_best {
+            0 => Vec::new(),
+            k => self.xs[k - 1].clone(),
+        };
+        let history: Vec<Evaluation> = (self.xs.into_iter().zip(self.ys).zip(&self.bests))
+            .map(|((config, value), &best_so_far)| Evaluation { config, value, best_so_far })
+            .collect();
+        BoResult {
+            best_config,
+            best_value: self.bests.last().copied().unwrap_or(f64::INFINITY),
+            history,
+            iterations_to_best: self.iterations_to_best,
+        }
     }
-    Some(transitions)
+
+    /// One acquisition cycle's proposals.
+    fn acquire(&mut self, exec: &dyn Executor) -> Vec<Vec<usize>> {
+        let opts = &self.opts;
+        let space = &self.space;
+        let rng = &mut self.rng;
+        let (xs, ys) = (&self.xs, &self.ys);
+        let batch_size = opts.proposals_per_refit.max(1).min(opts.iterations - self.evaluated);
+        // With no history at all (`warmup == 0`, no seeds) there is
+        // nothing to fit or mutate: fall back to uniform sampling until
+        // the first evaluations land.
+        if xs.is_empty() {
+            return (0..batch_size).map(|_| space.sample(rng)).collect();
+        }
+        if self.forest.is_none() || self.cycle % opts.refit_every.max(1) == 0 {
+            self.forest =
+                Some(Arc::new(RandomForest::fit(xs, ys, &space.cardinalities, &opts.forest, rng)));
+        }
+        let model = self.forest.as_ref().expect("fitted above");
+        // Candidate pool: incumbent mutations + uniform samples. The pool
+        // scales with the batch size — `candidates` is a *per-proposal*
+        // budget, so a B-proposal cycle explores the same diversity per
+        // evaluation as B classic iterations (and at B = 1 this is
+        // exactly the classic pool). NaN objective values (either sign —
+        // `0.0/0.0` is −NaN on x86) are excluded outright so they can
+        // never seed the incumbent mutations; `total_cmp` keeps the
+        // remaining ordering well-defined.
+        let pool_size = opts.candidates.saturating_mul(batch_size).max(1);
+        let mut pool: Vec<Vec<usize>> = Vec::with_capacity(pool_size);
+        let mut order: Vec<usize> = (0..ys.len()).filter(|&i| !ys[i].is_nan()).collect();
+        order.sort_by(|&a, &b| ys[a].total_cmp(&ys[b]));
+        if !order.is_empty() {
+            let n_mut = (pool_size / 2).max(1);
+            for k in 0..n_mut {
+                let base = &xs[order[k % opts.top_k.min(order.len()).max(1)]];
+                pool.push(space.mutate(base, rng, 3));
+            }
+        }
+        while pool.len() < pool_size {
+            pool.push(space.sample(rng));
+        }
+        // Acquisition: the surrogate ranks the whole pool once (a stale
+        // forest still scores the *current* pool), then each of the
+        // `batch_size` proposal slots draws ε-greedy: explore → uniform
+        // pool member, exploit → next-best unseen prediction. Ranking is
+        // lazy so an all-explore cycle never pays for it; it consumes no
+        // RNG either way, keeping `B = 1` draws identical to the classic
+        // loop.
+        let mut ranked: Option<Vec<usize>> = None;
+        let mut picks: Vec<Vec<usize>> = Vec::with_capacity(batch_size);
+        let mut picked: HashSet<Vec<usize>> = HashSet::new();
+        for _ in 0..batch_size {
+            let pick = if rng.gen::<f64>() < opts.epsilon {
+                pool[rng.gen_range(0..pool.len())].clone()
+            } else {
+                let ranked = ranked.get_or_insert_with(|| {
+                    let predictions = model.predict_batch_on(&pool, exec);
+                    // Stable ascending sort: among equal predictions the
+                    // earliest pool entry ranks first, matching the
+                    // classic `min_by` tie-break.
+                    let mut indices: Vec<usize> =
+                        (0..pool.len()).filter(|&i| !predictions[i].is_nan()).collect();
+                    indices.sort_by(|&a, &b| predictions[a].total_cmp(&predictions[b]));
+                    indices
+                });
+                ranked
+                    .iter()
+                    .map(|&i| &pool[i])
+                    .find(|c| !self.seen.contains(*c) && !picked.contains(*c))
+                    .cloned()
+                    .unwrap_or_else(|| space.sample(rng))
+            };
+            picked.insert(pick.clone());
+            picks.push(pick);
+        }
+        picks
+    }
 }
 
 #[cfg(test)]
@@ -731,68 +733,49 @@ mod tests {
     }
 
     #[test]
-    fn suspend_then_replay_is_bit_identical_to_uninterrupted() {
-        // The resume contract: suspend after `cut` batches, then re-run
-        // serving the recorded values back — the continuation must
-        // reproduce the uninterrupted trace bit for bit (same configs,
-        // same value bits, same incumbent).
+    fn hand_driven_search_is_bit_identical_to_minimize() {
+        // The ask/tell contract: a caller that proposes, evaluates and
+        // observes by hand — pausing between batches, re-asking for a
+        // pending batch, cloning the parked state — reproduces `minimize`
+        // bit for bit (same configs, same value bits, same incumbent).
         let space = SearchSpace::uniform(6, 4);
         let f = |c: &[usize]| {
             c.iter().enumerate().map(|(i, &v)| (v as f64 - (i % 3) as f64).powi(2)).sum::<f64>()
                 / 1.7
         };
-        let opts = BoOptions { warmup: 20, iterations: 37, seed: 9, ..Default::default() };
-        let full = minimize(&space, batched(f), &[], &opts);
-        for cut in [0usize, 1, 4, 9] {
-            // Phase 1: evaluate `cut` batches, then suspend.
-            let mut recorded: Vec<f64> = Vec::new();
+        let seeds = vec![vec![1usize; 6]];
+        for opts in [
+            BoOptions { warmup: 20, iterations: 37, seed: 9, ..Default::default() },
+            BoOptions { warmup: 0, iterations: 13, seed: 2, ..Default::default() },
+            BoOptions { warmup: 12, iterations: 200, patience: 9, ..Default::default() },
+        ] {
+            let full = minimize(&space, batched(f), &seeds, &opts);
+            let mut search = BoSearch::new(&space, &seeds, &opts);
             let mut batches = 0usize;
-            let (partial, completed) = minimize_suspendable_with(
-                &space,
-                |batch: &[Vec<usize>]| {
-                    if batches == cut {
-                        return BatchStatus::Suspend;
-                    }
-                    batches += 1;
-                    let values: Vec<f64> = batch.iter().map(|c| f(c)).collect();
-                    recorded.extend(values.iter().copied());
-                    BatchStatus::Values(values)
-                },
-                &[],
-                &opts,
-                &SerialExec,
-            );
-            assert!(!completed, "cut {cut}");
-            assert_eq!(partial.history.len(), recorded.len(), "cut {cut}");
-            // Phase 2: replay the recorded values, evaluate live beyond.
-            let mut cursor = 0usize;
-            let resumed = minimize_with(
-                &space,
-                |batch: &[Vec<usize>]| {
-                    batch
-                        .iter()
-                        .map(|c| {
-                            if cursor < recorded.len() {
-                                cursor += 1;
-                                recorded[cursor - 1]
-                            } else {
-                                f(c)
-                            }
-                        })
-                        .collect()
-                },
-                &[],
-                &opts,
-                &SerialExec,
-            );
-            assert_eq!(cursor, recorded.len(), "cut {cut}: whole prefix replayed");
-            assert_eq!(resumed.history.len(), full.history.len(), "cut {cut}");
-            for (a, b) in resumed.history.iter().zip(&full.history) {
-                assert_eq!(a.config, b.config, "cut {cut}");
-                assert_eq!(a.value.to_bits(), b.value.to_bits(), "cut {cut}");
+            while let Some(batch) = search.propose(&SerialExec) {
+                let batch = batch.to_vec();
+                assert!(!batch.is_empty(), "batches are never empty");
+                // Re-asking before observing hands out the same batch.
+                assert_eq!(search.propose(&SerialExec).unwrap(), &batch[..]);
+                if batches % 2 == 1 {
+                    // A parked copy continues exactly like the original.
+                    search = search.clone();
+                }
+                let values: Vec<f64> = batch.iter().map(|c| f(c)).collect();
+                search.observe(&values);
+                batches += 1;
             }
-            assert_eq!(resumed.best_config, full.best_config, "cut {cut}");
-            assert_eq!(resumed.best_value.to_bits(), full.best_value.to_bits(), "cut {cut}");
+            assert!(search.propose(&SerialExec).is_none(), "a finished search stays finished");
+            let driven = search.finish();
+            assert_eq!(driven.history.len(), full.history.len());
+            for (a, b) in driven.history.iter().zip(&full.history) {
+                assert_eq!(a.config, b.config);
+                assert_eq!(a.value.to_bits(), b.value.to_bits());
+                assert_eq!(a.best_so_far.to_bits(), b.best_so_far.to_bits());
+            }
+            assert_eq!(driven.best_config, full.best_config);
+            assert_eq!(driven.best_value.to_bits(), full.best_value.to_bits());
+            assert_eq!(driven.iterations_to_best, full.iterations_to_best);
         }
     }
 

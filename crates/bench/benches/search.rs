@@ -12,8 +12,9 @@
 //! windowed vs full-history surrogate refits, the Clifford+T branch
 //! evaluator (tableau ensemble vs dense branch sum), the full
 //! CAFQA+kT search (branch-engine stack vs the frozen dense/serial
-//! rejection-sampling loop), and the Ising fast path (structure-routed
-//! reduced-space solve vs the full BO pipeline, in instances/second).
+//! rejection-sampling loop), the Ising fast path (structure-routed
+//! reduced-space solve vs the full BO pipeline, in instances/second),
+//! and a job sliced by the job server vs the same job run solo.
 //!
 //! The engine and BO A/Bs additionally time themselves with raw
 //! `Instant` measurements (independent of the harness sampling), assert
@@ -34,12 +35,13 @@ use cafqa_clifford::{BranchEnsemble, CliffordTState, Tableau};
 use cafqa_core::exhaustive::{exhaustive_search_serial, exhaustive_search_with_workers};
 use cafqa_core::maxcut::{maxcut_hamiltonian, Graph};
 use cafqa_core::{
-    kt_session, polish_on, run_cafqa_kt_on, run_cafqa_on, solve_ising_batch_on,
+    classify_ising, kt_session, polish_on, run_cafqa_kt_on, run_cafqa_on, solve_ising_batch_on,
     widen_clifford_config, CafqaOptions, CafqaResult, CliffordObjective, ExecEngine, IsingFastPath,
     IsingInstance, KtPolishSession,
 };
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
+use cafqa_serve::{CafqaServer, JobSpec, ServeOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -1892,6 +1894,105 @@ fn bench_ising_fast_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The job server's slicing overhead: jobs on an idle server, sliced at
+/// `slice_batches` ∈ {1, 4} (4 is the default), against the same jobs
+/// through [`run_cafqa_on`] — 6 qubits, 24 parameters, a non-Ising
+/// Hamiltonian, default [`CafqaOptions`], serial engine. Served jobs keep
+/// their search state in memory between slices, so the only extra work
+/// per slice is rebuilding the objective.
+///
+/// Each round runs one fresh BO seed through all three arms, back to
+/// back, so host-speed drift hits every arm alike; each served arm keeps
+/// one long-lived server across rounds, as a deployment would. Every
+/// served result is asserted bit-identical to its solo run. The gate
+/// requires the median per-round served/solo ratio ≤ 1.1× at both slice
+/// sizes; the numbers land in `BENCH_search.json`.
+fn bench_served_sliced_vs_solo(_: &mut Criterion) {
+    const GROUP: &str = "served_sliced_vs_solo";
+    const ROUNDS: u64 = 7;
+    if !filter_matches(GROUP) {
+        return;
+    }
+    let ansatz = EfficientSu2::new(6, 1);
+    let mut seed = 0x5E_4BE5_u64;
+    let mut hamiltonian = PauliOp::zero(6);
+    for k in 0..24 {
+        let coefficient = 0.1 + 0.05 * ((k * 7) % 11) as f64;
+        hamiltonian.add_term(Complex64::from(coefficient), random_pauli(6, &mut seed));
+    }
+    assert!(classify_ising(&hamiltonian).is_none(), "the workload must run the BO search");
+    let engine = ExecEngine::serial();
+    let opts_for = |round: u64| CafqaOptions { seed: 0xCAF9A + round, ..Default::default() };
+    let solo = |opts: &CafqaOptions| {
+        let t = Instant::now();
+        let result = run_cafqa_on(&engine, &ansatz, &hamiltonian, vec![], &[], opts);
+        (result, t.elapsed())
+    };
+    let mut servers: Vec<CafqaServer> = [1usize, 4]
+        .into_iter()
+        .map(|slice_batches| {
+            let serve_opts =
+                ServeOptions { slice_batches, warm_start: false, ..Default::default() };
+            CafqaServer::start(engine.clone(), serve_opts)
+        })
+        .collect();
+    let serve = |server: &CafqaServer, opts: &CafqaOptions| {
+        let spec = JobSpec::new(ansatz.clone(), hamiltonian.clone(), opts.clone());
+        let t = Instant::now();
+        let outcome = server.submit(spec).and_then(|id| server.wait(id)).expect("job completes");
+        (outcome.result, t.elapsed())
+    };
+    // Round 0 warms every arm up and is not timed.
+    let (mut solo_ms, mut served_ms) = (Vec::new(), [Vec::new(), Vec::new()]);
+    let mut ratios = [Vec::new(), Vec::new()];
+    let mut evaluations = 0;
+    for round in 0..=ROUNDS {
+        let opts = opts_for(round);
+        let (reference, solo_elapsed) = solo(&opts);
+        evaluations = reference.evaluations;
+        for (arm, server) in servers.iter().enumerate() {
+            let (result, elapsed) = serve(server, &opts);
+            assert_cafqa_results_bitwise(&result, &reference, &format!("round {round}, arm {arm}"));
+            if round > 0 {
+                served_ms[arm].push(elapsed.as_secs_f64() * 1e3);
+                ratios[arm].push(elapsed.as_secs_f64() / solo_elapsed.as_secs_f64());
+            }
+        }
+        if round > 0 {
+            solo_ms.push(solo_elapsed.as_secs_f64() * 1e3);
+        }
+    }
+    let slices_per_job: Vec<u64> =
+        servers.iter().map(|server| server.stats().slices / (ROUNDS + 1)).collect();
+    for server in &mut servers {
+        server.shutdown();
+    }
+    let median = |values: &mut Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
+    let ratio_1 = median(&mut ratios[0]);
+    let ratio_4 = median(&mut ratios[1]);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    record_bench_json(
+        "served_sliced_vs_solo_6q_24dim",
+        format!(
+            "{{\"host_cores\": {host_cores}, \"workers\": 1, \"rounds\": {ROUNDS}, \
+             \"evaluations\": {evaluations}, \"solo_ms\": {:.3}, \"served_slice1_ms\": {:.3}, \
+             \"served_slice4_ms\": {:.3}, \"ratio_slice1\": {ratio_1:.3}, \
+             \"ratio_slice4\": {ratio_4:.3}, \"slices_per_job_slice1\": {}, \
+             \"slices_per_job_slice4\": {}, \"bit_identical\": true}}",
+            median(&mut solo_ms),
+            median(&mut served_ms[0]),
+            median(&mut served_ms[1]),
+            slices_per_job[0],
+            slices_per_job[1],
+        ),
+    );
+    assert!(ratio_1 <= 1.1, "1 step/slice costs {ratio_1:.3}× solo (median of {ROUNDS})");
+    assert!(ratio_4 <= 1.1, "4 steps/slice cost {ratio_4:.3}× solo (median of {ROUNDS})");
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -1910,6 +2011,6 @@ criterion_group! {
               bench_windowed_vs_full_refit,
               bench_incremental_polish, bench_kt_tableau_vs_dense,
               bench_kt_engine_vs_reference, bench_kt_screened_vs_exact,
-              bench_ising_fast_path
+              bench_ising_fast_path, bench_served_sliced_vs_solo
 }
 criterion_main!(search);

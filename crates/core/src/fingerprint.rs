@@ -4,7 +4,8 @@
 //! A job's identity is everything that can change a bit of its
 //! [`CafqaResult`](crate::CafqaResult): the Hamiltonian's term set in
 //! canonical (sorted mask-form) order with exact coefficient bits, the
-//! penalties, the ansatz shape, the seed configurations, and the
+//! penalties, the ansatz structure (its compiled gate-and-slot sequence,
+//! so entanglement topology counts), the seed configurations, and the
 //! determinism-relevant [`CafqaOptions`](crate::CafqaOptions) fields.
 //! Two submissions with equal [`job_fingerprint`] produce bit-identical
 //! results by the workspace determinism contracts, so a server may
@@ -26,7 +27,7 @@
 //! penalty and seed lists are hashed instead, so two call paths that
 //! hand the runner identical inputs share a fingerprint.
 
-use cafqa_circuit::Ansatz;
+use cafqa_circuit::{Ansatz, CompiledAnsatz};
 use cafqa_pauli::PauliOp;
 
 use crate::ising::IsingFastPath;
@@ -110,28 +111,66 @@ fn write_op(hash: &mut Fnv1a, op: &PauliOp, with_coefficients: bool) {
 }
 
 /// Folds the search-relevant [`CafqaOptions`] fields (see the module
-/// notes for which fields are deliberately excluded).
+/// notes for which fields are deliberately excluded). The destructuring
+/// names every field, so a new option does not compile until it is
+/// either hashed here or explicitly excluded.
 fn write_opts(hash: &mut Fnv1a, opts: &CafqaOptions) {
-    hash.write_usize(opts.warmup);
-    hash.write_usize(opts.iterations);
-    hash.write_u64(opts.seed);
-    hash.write_usize(opts.patience);
-    hash.write_usize(opts.polish_sweeps);
-    hash.write_usize(opts.proposals_per_refit);
-    hash.write_usize(opts.forest_window);
-    hash.write_usize(opts.polish_screen_top);
-    hash.write_f64(opts.screen_tolerance);
-    hash.write_usize(opts.kt_rank_top);
-    hash.write_u64(match opts.ising_fast_path {
+    let CafqaOptions {
+        warmup,
+        iterations,
+        number_penalty: _,
+        sz_penalty: _,
+        s2_penalty: _,
+        seed_hf: _,
+        seed,
+        patience,
+        polish_sweeps,
+        proposals_per_refit,
+        forest_window,
+        polish_screen_top,
+        screen_tolerance,
+        kt_rank_top,
+        ising_fast_path,
+    } = opts;
+    hash.write_usize(*warmup);
+    hash.write_usize(*iterations);
+    hash.write_u64(*seed);
+    hash.write_usize(*patience);
+    hash.write_usize(*polish_sweeps);
+    hash.write_usize(*proposals_per_refit);
+    hash.write_usize(*forest_window);
+    hash.write_usize(*polish_screen_top);
+    hash.write_f64(*screen_tolerance);
+    hash.write_usize(*kt_rank_top);
+    hash.write_u64(match ising_fast_path {
         IsingFastPath::Auto => 0,
         IsingFastPath::Off => 1,
         IsingFastPath::Force => 2,
     });
 }
 
+/// Folds the ansatz structure: the compiled template's op sequence
+/// (every fixed gate, and which parameter each rotation slot reads), or,
+/// for an ansatz that does not compile, its Clifford-bound circuits at
+/// the four uniform configurations.
+fn write_ansatz(hash: &mut Fnv1a, ansatz: &dyn Ansatz) {
+    hash.write_usize(ansatz.num_qubits());
+    hash.write_usize(ansatz.num_parameters());
+    let structure = match CompiledAnsatz::compile(ansatz) {
+        Some(template) => format!("{:?}", template.ops()),
+        None => (0..4)
+            .map(|k| {
+                format!("{:?}", ansatz.bind_clifford(&vec![k; ansatz.num_parameters()]).gates())
+            })
+            .collect(),
+    };
+    hash.write_usize(structure.len());
+    hash.write(structure.as_bytes());
+}
+
 /// Folds the parts of a job's identity that are shared between the
-/// exact and the family fingerprint: ansatz shape, penalties, seeds and
-/// options. Penalty operators always hash with coefficients — a near
+/// exact and the family fingerprint: ansatz structure, penalties, seeds
+/// and options. Penalty operators always hash with coefficients — a near
 /// hit must share the *same* sector constraints, only the Hamiltonian
 /// coefficients may drift.
 fn write_context(
@@ -141,8 +180,7 @@ fn write_context(
     seeds: &[Vec<usize>],
     opts: &CafqaOptions,
 ) {
-    hash.write_usize(ansatz.num_qubits());
-    hash.write_usize(ansatz.num_parameters());
+    write_ansatz(hash, ansatz);
     hash.write_usize(penalties.len());
     for p in penalties {
         hash.write_usize(p.label.len());
@@ -217,7 +255,7 @@ pub fn coefficient_distance(a: &[f64], b: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafqa_circuit::EfficientSu2;
+    use cafqa_circuit::{EfficientSu2, Entanglement};
     use cafqa_linalg::Complex64;
     use cafqa_pauli::PauliString;
 
@@ -284,6 +322,31 @@ mod tests {
         // Penalties.
         let pen = Penalty::new("n", &op(&[(1.0, "ZII")]), 1.0, 0.5);
         assert_ne!(base, job_fingerprint(&ansatz, &h, &[pen], &[], &opts));
+    }
+
+    #[test]
+    fn entanglement_topology_separates_job_and_family_keys() {
+        // Same width and parameter count, different CX ladders: the
+        // searches differ, so neither key may collide.
+        let h = op(&[(0.5, "ZZI"), (-0.25, "IXZ"), (0.3, "XIX")]);
+        let opts = CafqaOptions::quick();
+        let keys: Vec<(u64, u64)> =
+            [Entanglement::Linear, Entanglement::Circular, Entanglement::Full]
+                .into_iter()
+                .map(|e| {
+                    let ansatz = EfficientSu2::new(3, 1).with_entanglement(e);
+                    (
+                        job_fingerprint(&ansatz, &h, &[], &[], &opts),
+                        family_fingerprint(&ansatz, &h, &[], &[], &opts),
+                    )
+                })
+                .collect();
+        for i in 0..keys.len() {
+            for j in (i + 1)..keys.len() {
+                assert_ne!(keys[i].0, keys[j].0, "job keys {i} and {j} collide");
+                assert_ne!(keys[i].1, keys[j].1, "family keys {i} and {j} collide");
+            }
+        }
     }
 
     #[test]

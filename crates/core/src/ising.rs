@@ -22,10 +22,10 @@
 //!   the full [`run_cafqa_on`](crate::run_cafqa_on) pipeline.
 //! - [`IsingForm::solve`] minimizes the reduced objective over
 //!   assignments.
-//! - [`Ansatz::eigenstate_config`] lifts the winner to a discrete
-//!   Clifford configuration, which is re-evaluated through the ordinary
-//!   [`CliffordObjective`] so the reported energy is the tableau
-//!   simulator's, not the reduced model's.
+//! - [`Ansatz::eigenstate_config`](cafqa_circuit::Ansatz::eigenstate_config)
+//!   lifts the winner to a discrete Clifford configuration, which is
+//!   re-evaluated through the ordinary [`CliffordObjective`] so the
+//!   reported energy is the tableau simulator's, not the reduced model's.
 //! - [`solve_ising_batch_on`] shards whole instances over
 //!   [`ExecEngine::map`] for service-style throughput, with per-instance
 //!   results bit-identical at any worker count.
@@ -35,16 +35,15 @@
 //! notes for the force/disable contract.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use cafqa_circuit::{Ansatz, EfficientSu2, LocalBasis};
+use cafqa_circuit::{EfficientSu2, LocalBasis};
 use cafqa_pauli::{Pauli, PauliOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::ExecEngine;
-use crate::objective::{CliffordObjective, Penalty};
-use crate::runner::{run_cafqa_on, CafqaOptions, CafqaResult, SearchPoint};
+use crate::objective::CliffordObjective;
+use crate::runner::{run_cafqa_on, CafqaOptions, CafqaResult};
 
 /// Routing policy for the Ising fast path
 /// ([`CafqaOptions::ising_fast_path`]).
@@ -346,14 +345,14 @@ pub fn classify_ising(hamiltonian: &PauliOp) -> Option<IsingForm> {
     })
 }
 
-/// The routing hook [`run_cafqa_on`] calls before starting the full
-/// search. Returns `Some` with an ordinary [`CafqaResult`] when the
-/// instance takes the fast path, `None` when it must run the full
-/// pipeline (non-Ising structure, penalties attached, or no eigenstate
-/// lift for this ansatz).
+/// The routing hook [`CafqaJob::new`](crate::CafqaJob::new) runs
+/// before any search state exists. Returns the lifted configuration of
+/// the reduced-space winner when the instance takes the fast path,
+/// `None` when it must run the full pipeline (routing off, non-Ising
+/// structure, penalties attached, or no eigenstate lift for this
+/// ansatz).
 ///
-/// The reduced-space winner is lifted through
-/// [`Ansatz::eigenstate_config`] and evaluated — together with every
+/// The job then evaluates the lifted winner — together with every
 /// caller-provided seed configuration — through the ordinary
 /// [`CliffordObjective`] as one engine batch, and the first minimiser
 /// wins; the reported energy is therefore always the tableau
@@ -364,20 +363,19 @@ pub fn classify_ising(hamiltonian: &PauliOp) -> Option<IsingForm> {
 ///
 /// Panics when [`CafqaOptions::ising_fast_path`] is
 /// [`IsingFastPath::Force`] and the instance cannot route.
-pub(crate) fn try_ising_fast_path(
-    engine: &ExecEngine,
-    ansatz: &dyn Ansatz,
-    hamiltonian: &PauliOp,
-    penalties: &[Penalty],
-    seeds: &[Vec<usize>],
+pub(crate) fn ising_route(
+    objective: &CliffordObjective<'_>,
     opts: &CafqaOptions,
-) -> Option<CafqaResult> {
+) -> Option<Vec<usize>> {
+    if opts.ising_fast_path == IsingFastPath::Off {
+        return None;
+    }
     let force = opts.ising_fast_path == IsingFastPath::Force;
-    if !penalties.is_empty() {
+    if !objective.core().penalties.is_empty() {
         assert!(!force, "ising_fast_path: Force, but penalties require the full objective");
         return None;
     }
-    let Some(form) = classify_ising(hamiltonian) else {
+    let Some(form) = classify_ising(objective.hamiltonian) else {
         assert!(!force, "ising_fast_path: Force, but the Hamiltonian is not Ising-class");
         return None;
     };
@@ -387,41 +385,12 @@ pub(crate) fn try_ising_fast_path(
         assert!(!force, "ising_fast_path: Force, but the instance exceeds the solve cap");
         return None;
     };
-    let Some(lifted) = ansatz.eigenstate_config(bits, &form.bases) else {
-        assert!(!force, "ising_fast_path: Force, but the ansatz has no eigenstate lift");
-        return None;
-    };
-    let clock = Instant::now();
-    let objective = CliffordObjective::new(ansatz, hamiltonian).with_engine(engine.clone());
-    let mut candidates = vec![lifted];
-    candidates.extend(seeds.iter().cloned());
-    let values = objective.evaluate_batch(&candidates);
-    let mut best = 0;
-    for (i, v) in values.iter().enumerate() {
-        if v.penalized < values[best].penalized {
-            best = i;
-        }
-    }
-    let mut running = f64::INFINITY;
-    let trace: Vec<SearchPoint> = values
-        .iter()
-        .map(|v| {
-            running = running.min(v.penalized);
-            SearchPoint { energy: v.energy, penalized: v.penalized, best_so_far: running }
-        })
-        .collect();
-    Some(CafqaResult {
-        best_config: candidates.swap_remove(best),
-        energy: values[best].energy,
-        penalized: values[best].penalized,
-        iterations_to_best: best + 1,
-        evaluations: trace.len(),
-        trace,
-        polish_evaluations: 0,
-        bo_seconds: clock.elapsed().as_secs_f64(),
-        polish_seconds: 0.0,
-        polish_seek_stats: (0, 0),
-    })
+    let lifted = objective.ansatz.eigenstate_config(bits, &form.bases);
+    assert!(
+        !force || lifted.is_some(),
+        "ising_fast_path: Force, but the ansatz has no eigenstate lift"
+    );
+    lifted
 }
 
 /// One instance of the batched serving layer: an

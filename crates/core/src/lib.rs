@@ -61,9 +61,8 @@ pub use objective::{
     CliffordObjective, EvalScratch, ObjectiveValue, Penalty, PolishMove, PolishSession,
 };
 pub use runner::{
-    polish_on, polish_pair_list, run_cafqa, run_cafqa_on, run_cafqa_resumable_on, CafqaOptions,
-    CafqaResult, MolecularCafqa, PolishOutcome, ResumeError, RunControl, RunProgress, RunStatus,
-    SearchCheckpoint, SearchPoint,
+    polish_on, polish_pair_list, run_cafqa, run_cafqa_on, CafqaJob, CafqaOptions, CafqaResult,
+    MolecularCafqa, PolishOutcome, SearchPoint,
 };
 
 #[cfg(test)]

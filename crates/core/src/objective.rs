@@ -132,7 +132,7 @@ pub(crate) struct EvalCore {
     template: Option<CompiledAnsatz>,
     /// Flat copy of the Hamiltonian for the expectation kernel.
     terms: Vec<(PauliString, f64)>,
-    penalties: Vec<Penalty>,
+    pub(crate) penalties: Vec<Penalty>,
 }
 
 impl EvalCore {
@@ -328,8 +328,8 @@ impl EvalCore {
 /// [`run_cafqa_on`](crate::run_cafqa_on) does, so one pool serves the
 /// whole search).
 pub struct CliffordObjective<'a> {
-    ansatz: &'a dyn Ansatz,
-    hamiltonian: &'a PauliOp,
+    pub(crate) ansatz: &'a dyn Ansatz,
+    pub(crate) hamiltonian: &'a PauliOp,
     core: Arc<EvalCore>,
     /// `None` resolves to [`ExecEngine::global`] lazily, at the first
     /// batch large enough to dispatch — so objectives that only ever

@@ -11,10 +11,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cafqa_bayesopt::{
-    minimize_suspendable_with, BatchStatus, BoOptions, BoResult, ForestOptions, RandomForest,
-    SearchSpace,
-};
+use cafqa_bayesopt::{BoOptions, BoResult, BoSearch, ForestOptions, RandomForest, SearchSpace};
 use cafqa_chem::MolecularProblem;
 use cafqa_circuit::{Ansatz, Circuit, EfficientSu2};
 use cafqa_pauli::PauliOp;
@@ -22,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::ExecEngine;
-use crate::ising::{try_ising_fast_path, IsingFastPath};
+use crate::ising::{ising_route, IsingFastPath};
 use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishMove, PolishSession};
 
 /// Configuration for a CAFQA run.
@@ -281,9 +278,12 @@ pub struct CafqaResult {
     pub evaluations: usize,
     /// Evaluations spent in the polish endgame (the tail of `trace`).
     pub polish_evaluations: usize,
-    /// Wall-clock seconds spent in the warm-up + BO phase — phase-level
-    /// profiling metadata (Fig. 12 reports it); carries no physics and
-    /// is excluded from every bit-identity contract.
+    /// Wall-clock seconds spent in the warm-up + BO phase: the sum of
+    /// the job's BO step times ([`CafqaJob::step`]; the single
+    /// evaluation step on the Ising route), so time a served job spends
+    /// parked between slices is not counted. Phase-level profiling
+    /// metadata (Fig. 12 reports it); carries no physics and is excluded
+    /// from every bit-identity contract.
     pub bo_seconds: f64,
     /// Wall-clock seconds spent in the polish endgame — phase-level
     /// profiling metadata (Fig. 12 reports it); carries no physics and
@@ -334,99 +334,6 @@ impl CafqaResult {
     }
 }
 
-/// A serialized mid-search state of the BO phase: every *completed*
-/// evaluation, in fold order, as `(configuration, raw energy, penalized)`.
-///
-/// This is all the state a resume needs. The BO loop's internal state —
-/// RNG cursor, candidate pools, surrogate refits, incumbent — is a pure
-/// function of (seed, the objective values returned so far), so
-/// [`run_cafqa_resumable_on`] *replays* the recorded values through the
-/// loop instead of serializing the loop: the expensive tableau
-/// evaluations are skipped, the cheap acquisition bookkeeping is
-/// recomputed, and the post-resume continuation is bit-identical to the
-/// uninterrupted run (asserted in `crates/core/tests/resume_equivalence.rs`).
-///
-/// Checkpoints are whole-batch: a suspension discards the in-flight
-/// batch unevaluated (warm-up plus seeds is one batch, then one batch
-/// per surrogate refit), so `history` is always a batch-aligned prefix
-/// of the uninterrupted evaluation sequence.
-#[derive(Debug, Clone, Default)]
-pub struct SearchCheckpoint {
-    /// The [`job_fingerprint`](crate::fingerprint::job_fingerprint) of
-    /// the job this checkpoint belongs to; resuming under a different
-    /// fingerprint is a [`ResumeError::FingerprintMismatch`]. `0` skips
-    /// the check (for callers managing identity themselves).
-    pub fingerprint: u64,
-    /// Completed evaluations `(config, energy, penalized)` in fold order.
-    pub history: Vec<(Vec<usize>, f64, f64)>,
-}
-
-/// Progress snapshot handed to the control callback of
-/// [`run_cafqa_resumable_on`] before each live (non-replayed) batch.
-#[derive(Debug, Clone, Copy)]
-pub struct RunProgress {
-    /// Completed BO evaluations so far, replayed and live.
-    pub evaluations: usize,
-    /// Live batches completed in *this* call (replayed batches and the
-    /// batch the callback is being consulted about are not counted).
-    pub live_batches: usize,
-}
-
-/// Decision of a [`run_cafqa_resumable_on`] control callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunControl {
-    /// Evaluate the next batch.
-    Continue,
-    /// Stop *before* evaluating the next batch and return a
-    /// [`SearchCheckpoint`] capturing every completed evaluation.
-    Suspend,
-}
-
-/// How a resumable run ended.
-#[derive(Debug, Clone)]
-pub enum RunStatus {
-    /// The search (BO phase and polish endgame) ran to completion.
-    Complete(CafqaResult),
-    /// The control callback suspended the BO phase; pass the checkpoint
-    /// back as `resume` to continue bit-identically.
-    Suspended(SearchCheckpoint),
-}
-
-/// A checkpoint that cannot be resumed against the given job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResumeError {
-    /// The checkpoint was recorded for a different job fingerprint.
-    FingerprintMismatch {
-        /// The submitted job's fingerprint.
-        expected: u64,
-        /// The checkpoint's recorded fingerprint.
-        found: u64,
-    },
-    /// Replay proposed a different configuration than the checkpoint
-    /// recorded at this history index — the checkpoint does not belong
-    /// to this (job, seed) stream.
-    HistoryDiverged {
-        /// First diverging index into [`SearchCheckpoint::history`].
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint fingerprint {found:#018x} does not match job {expected:#018x}"
-            ),
-            ResumeError::HistoryDiverged { index } => {
-                write!(f, "replayed proposal diverged from checkpoint history at index {index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
 /// Runs the CAFQA discrete search for an arbitrary Hamiltonian/ansatz
 /// pair with optional penalties and seed configurations, on the
 /// process-global execution engine.
@@ -443,7 +350,8 @@ pub fn run_cafqa(
 /// [`run_cafqa`] on an explicit [`ExecEngine`]: every parallel step of
 /// the search — warm-up, acquisition batches, surrogate scoring, polish
 /// sweeps — dispatches through this one engine, and the result is
-/// bit-identical at any worker count (including a serial engine).
+/// bit-identical at any worker count (including a serial engine). This
+/// is a loop over [`CafqaJob::step`].
 pub fn run_cafqa_on(
     engine: &ExecEngine,
     ansatz: &dyn Ansatz,
@@ -452,212 +360,213 @@ pub fn run_cafqa_on(
     seeds: &[Vec<usize>],
     opts: &CafqaOptions,
 ) -> CafqaResult {
-    let status = run_cafqa_resumable_on(
-        engine,
-        ansatz,
-        hamiltonian,
-        penalties,
-        seeds,
-        opts,
-        None,
-        &mut |_| RunControl::Continue,
+    let objective = penalties.into_iter().fold(
+        CliffordObjective::new(ansatz, hamiltonian).with_engine(engine.clone()),
+        CliffordObjective::with_penalty,
     );
-    match status {
-        Ok(RunStatus::Complete(result)) => result,
-        Ok(RunStatus::Suspended(_)) => {
-            unreachable!("an always-Continue control cannot suspend")
+    let mut job = CafqaJob::new(&objective, seeds, opts);
+    loop {
+        if let Some(result) = job.step(&objective) {
+            return result;
         }
-        Err(err) => unreachable!("no checkpoint was supplied: {err}"),
     }
 }
 
-/// [`run_cafqa_on`] with cooperative suspension and checkpoint/resume —
-/// the serving layer's entry point (`cafqa-serve` slices jobs through
-/// it).
+/// One CAFQA search as a state machine of bounded steps — the unit the
+/// job server (`cafqa-serve`) slices. The steps are:
 ///
-/// `control` is consulted **before every live BO batch** (a batch is the
-/// whole warm-up-plus-seeds set, then one per surrogate refit);
-/// returning [`RunControl::Suspend`] discards the proposed batch
-/// unevaluated and returns [`RunStatus::Suspended`] with a
-/// [`SearchCheckpoint`] of every completed evaluation. Passing that
-/// checkpoint back as `resume` replays the recorded objective values
-/// through the BO loop — skipping the expensive tableau evaluations but
-/// reproducing RNG cursor, surrogate refits and incumbent exactly — so
-/// the continuation, and therefore the final [`CafqaResult`] trace, is
-/// **bit-identical to the uninterrupted run at any worker count**
-/// (`crates/core/tests/resume_equivalence.rs`). Suspension granularity
-/// notes:
+/// 1. Ising-class instances (see the [problem-structure
+///    routing](CafqaOptions#problem-structure-routing) notes): one step
+///    evaluates the reduced-space winner plus the seeds, and the job is
+///    done.
+/// 2. Otherwise one step per BO batch — the seeds + warm-up phase, then
+///    one acquisition cycle per surrogate refit ([`BoSearch`]) — and
+///    finally the polish endgame ([`polish_on`]) as one step.
 ///
-/// - The polish endgame is not suspendable: once the BO phase
-///   completes, polish runs to completion in the same call (it is a
-///   bounded tail — `O(sweeps · params)` evaluations — where the BO
-///   phase is the unbounded bulk).
-/// - Instances routed through the Ising fast path complete in one
-///   reduced-space solve plus one evaluation batch; `control` is never
-///   consulted and no checkpoint can exist for them.
-/// - The wall-clock fields of the result (`bo_seconds`,
-///   `polish_seconds`) are whatever the completing call measured — they
-///   are profiling metadata, excluded from every bit-identity contract.
+/// The job owns all of its state and borrows nothing: every step takes
+/// the objective instead, so a caller can park a job between steps for
+/// free and rebuild the objective (from the same ansatz, Hamiltonian,
+/// penalties and engine) whenever it resumes. Stepping is bit-identical
+/// to [`run_cafqa_on`] — which is exactly this loop — however the steps
+/// are spread out, at any worker count.
 ///
-/// `resume.fingerprint` (when nonzero) must match the job's
-/// [`job_fingerprint`](crate::fingerprint::job_fingerprint); replayed
-/// proposals are additionally checked against the recorded
-/// configurations, so a checkpoint from a different job or seed stream
-/// fails with a structured [`ResumeError`] instead of silently
-/// corrupting the search.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cafqa_resumable_on(
-    engine: &ExecEngine,
-    ansatz: &dyn Ansatz,
-    hamiltonian: &PauliOp,
-    penalties: Vec<Penalty>,
-    seeds: &[Vec<usize>],
-    opts: &CafqaOptions,
-    resume: Option<&SearchCheckpoint>,
-    control: &mut dyn FnMut(RunProgress) -> RunControl,
-) -> Result<RunStatus, ResumeError> {
-    if let Some(checkpoint) = resume {
-        if checkpoint.fingerprint != 0 {
-            let expected =
-                crate::fingerprint::job_fingerprint(ansatz, hamiltonian, &penalties, seeds, opts);
-            if checkpoint.fingerprint != expected {
-                return Err(ResumeError::FingerprintMismatch {
-                    expected,
-                    found: checkpoint.fingerprint,
-                });
+/// # Examples
+///
+/// ```
+/// use cafqa_circuit::EfficientSu2;
+/// use cafqa_core::{run_cafqa_on, CafqaJob, CafqaOptions, CliffordObjective, ExecEngine};
+/// use cafqa_pauli::PauliOp;
+///
+/// let ansatz = EfficientSu2::new(2, 1);
+/// let h: PauliOp = "0.5*XX + 0.25*ZZ - 0.1*YI".parse().unwrap();
+/// let opts = CafqaOptions { warmup: 8, iterations: 8, ..Default::default() };
+/// let engine = ExecEngine::serial();
+/// let objective = CliffordObjective::new(&ansatz, &h).with_engine(engine.clone());
+/// let mut job = CafqaJob::new(&objective, &[], &opts);
+/// let result = loop {
+///     if let Some(result) = job.step(&objective) {
+///         break result;
+///     }
+/// };
+/// let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
+/// assert_eq!(result.energy.to_bits(), solo.energy.to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct CafqaJob {
+    opts: CafqaOptions,
+    stage: Stage,
+    /// `(raw energy, penalized)` of every BO evaluation, in fold order.
+    raw_trace: Vec<(f64, f64)>,
+    /// Wall time summed over the BO steps.
+    bo_seconds: f64,
+}
+
+#[derive(Debug, Clone)]
+enum Stage {
+    /// The Ising fast path's candidates: the lifted winner, then the seeds.
+    Routed(Vec<Vec<usize>>),
+    /// The BO phase; the step that finds it exhausted runs the polish.
+    Search(Box<BoSearch>),
+    Done,
+}
+
+impl CafqaJob {
+    /// Starts a job for `objective` (which fixes the ansatz, Hamiltonian,
+    /// penalties and engine) from `seeds` under `opts`. Routing is decided
+    /// here; no objective evaluation happens until the first step.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`CafqaOptions::ising_fast_path`] is
+    /// [`IsingFastPath::Force`] and the instance cannot route, or when a
+    /// seed has the wrong length.
+    pub fn new(
+        objective: &CliffordObjective<'_>,
+        seeds: &[Vec<usize>],
+        opts: &CafqaOptions,
+    ) -> Self {
+        let stage = match ising_route(objective, opts) {
+            Some(lifted) => {
+                Stage::Routed(std::iter::once(lifted).chain(seeds.iter().cloned()).collect())
             }
+            None => {
+                let bo_opts = BoOptions {
+                    warmup: opts.warmup,
+                    iterations: opts.iterations,
+                    seed: opts.seed,
+                    patience: opts.patience,
+                    proposals_per_refit: opts.proposals_per_refit,
+                    forest: ForestOptions { window: opts.forest_window, ..Default::default() },
+                    ..Default::default()
+                };
+                let space = SearchSpace::uniform(objective.num_parameters(), 4);
+                Stage::Search(Box::new(BoSearch::new(&space, seeds, &bo_opts)))
+            }
+        };
+        CafqaJob { opts: opts.clone(), stage, raw_trace: Vec::new(), bo_seconds: 0.0 }
+    }
+
+    /// Runs the next step on `objective` — which must be built from the
+    /// same inputs as the one the job was created with — and returns the
+    /// result once the job is done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job already returned its result.
+    pub fn step(&mut self, objective: &CliffordObjective<'_>) -> Option<CafqaResult> {
+        let clock = Instant::now();
+        match &mut self.stage {
+            Stage::Routed(candidates) => {
+                let values = objective.evaluate_batch(candidates);
+                let mut best = 0;
+                for (i, v) in values.iter().enumerate() {
+                    if v.penalized < values[best].penalized {
+                        best = i;
+                    }
+                }
+                let trace = running_best_trace(values.iter().map(|v| (v.energy, v.penalized)));
+                let result = CafqaResult {
+                    best_config: candidates.swap_remove(best),
+                    energy: values[best].energy,
+                    penalized: values[best].penalized,
+                    iterations_to_best: best + 1,
+                    evaluations: trace.len(),
+                    trace,
+                    polish_evaluations: 0,
+                    bo_seconds: clock.elapsed().as_secs_f64(),
+                    polish_seconds: 0.0,
+                    polish_seek_stats: (0, 0),
+                };
+                self.stage = Stage::Done;
+                Some(result)
+            }
+            Stage::Search(search) => {
+                // The BO layer minimizes the penalized value; raw energies
+                // ride along in `raw_trace`. One engine-sharded evaluation
+                // per batch (the whole warm-up phase is a single batch),
+                // folded in batch order.
+                if let Some(batch) = search.propose(objective.engine()) {
+                    let values = objective.evaluate_batch(batch);
+                    self.raw_trace.extend(values.iter().map(|v| (v.energy, v.penalized)));
+                    let penalized: Vec<f64> = values.iter().map(|v| v.penalized).collect();
+                    search.observe(&penalized);
+                    self.bo_seconds += clock.elapsed().as_secs_f64();
+                    return None;
+                }
+                let Stage::Search(search) = std::mem::replace(&mut self.stage, Stage::Done) else {
+                    unreachable!("matched above");
+                };
+                Some(self.polish(objective, search.finish()))
+            }
+            Stage::Done => panic!("CafqaJob stepped after it returned its result"),
         }
     }
-    // Problem-structure routing: Ising-class instances collapse to the
-    // reduced-space solve (see the routing notes on `CafqaOptions`);
-    // everything else continues below, bit-for-bit as if the hook did
-    // not exist.
-    if opts.ising_fast_path != IsingFastPath::Off {
-        if let Some(result) =
-            try_ising_fast_path(engine, ansatz, hamiltonian, &penalties, seeds, opts)
-        {
-            return Ok(RunStatus::Complete(result));
+
+    /// The polish endgame: incremental coordinate and pair sweeps (see
+    /// [`polish_on`]), with the screened variant fed the BO history.
+    fn polish(&mut self, objective: &CliffordObjective<'_>, result: BoResult) -> CafqaResult {
+        let opts = &self.opts;
+        let history: Vec<(Vec<usize>, f64)> =
+            if opts.polish_screen_top > 0 && opts.polish_sweeps > 0 {
+                result.history.iter().map(|e| (e.config.clone(), e.value)).collect()
+            } else {
+                Vec::new()
+            };
+        let bo_evaluations = self.raw_trace.len();
+        let polish_clock = Instant::now();
+        let outcome = polish_on(objective.engine(), objective, &result.best_config, opts, &history);
+        let polish_seconds = polish_clock.elapsed().as_secs_f64();
+        let mut iterations_to_best = result.iterations_to_best;
+        if let Some(accept) = outcome.last_accept {
+            iterations_to_best = bo_evaluations + accept;
+        }
+        let raw_trace = std::mem::take(&mut self.raw_trace);
+        let trace = running_best_trace(raw_trace.into_iter().chain(outcome.trace.iter().copied()));
+        CafqaResult {
+            best_config: outcome.best_config,
+            energy: outcome.best_value.energy,
+            penalized: outcome.best_value.penalized,
+            evaluations: trace.len(),
+            iterations_to_best,
+            trace,
+            polish_evaluations: outcome.trace.len(),
+            bo_seconds: self.bo_seconds,
+            polish_seconds,
+            polish_seek_stats: outcome.seek_stats,
         }
     }
-    let mut objective = CliffordObjective::new(ansatz, hamiltonian).with_engine(engine.clone());
-    for p in penalties {
-        objective = objective.with_penalty(p);
-    }
-    let space = SearchSpace::uniform(objective.num_parameters(), 4);
-    // The BO layer minimizes the penalized value; raw energies are
-    // recovered per configuration afterwards from the recorded configs.
-    let mut raw_trace: Vec<(f64, f64)> = Vec::new();
-    let bo_clock = Instant::now();
-    let bo_opts = BoOptions {
-        warmup: opts.warmup,
-        iterations: opts.iterations,
-        seed: opts.seed,
-        patience: opts.patience,
-        proposals_per_refit: opts.proposals_per_refit,
-        forest: cafqa_bayesopt::ForestOptions { window: opts.forest_window, ..Default::default() },
-        ..Default::default()
-    };
-    let replay: &[(Vec<usize>, f64, f64)] = resume.map_or(&[], |c| &c.history);
-    // Shared closure state: the replay cursor, the completed-evaluation
-    // log (the next checkpoint), live-batch count, and the first replay
-    // divergence observed (surfaced as a structured error after the loop
-    // unwinds via Suspend — the closure itself cannot return errors).
-    let mut cursor = 0usize;
-    let mut completed: Vec<(Vec<usize>, f64, f64)> = Vec::with_capacity(replay.len());
-    let mut live_batches = 0usize;
-    let mut diverged: Option<usize> = None;
-    let (result, finished): (BoResult, bool) = minimize_suspendable_with(
-        &space,
-        |batch: &[Vec<usize>]| {
-            // Serve the replay prefix of this batch from the checkpoint.
-            // Checkpoints are whole-batch (a suspension discards the
-            // in-flight batch), so for a checkpoint of this job the
-            // cursor lands exactly on batch boundaries — the straddle
-            // handling below is defensive, not load-bearing.
-            let served = batch.len().min(replay.len() - cursor);
-            for (offset, config) in batch[..served].iter().enumerate() {
-                if replay[cursor + offset].0 != *config {
-                    diverged = Some(cursor + offset);
-                    return BatchStatus::Suspend;
-                }
-            }
-            let live = &batch[served..];
-            if !live.is_empty() {
-                // Live work ahead: this is the suspension point.
-                let progress = RunProgress { evaluations: completed.len(), live_batches };
-                if control(progress) == RunControl::Suspend {
-                    return BatchStatus::Suspend;
-                }
-            }
-            let mut values = Vec::with_capacity(batch.len());
-            for (config, energy, penalized) in &replay[cursor..cursor + served] {
-                completed.push((config.clone(), *energy, *penalized));
-                raw_trace.push((*energy, *penalized));
-                values.push(*penalized);
-            }
-            cursor += served;
-            if !live.is_empty() {
-                // One engine-sharded evaluation for the whole live part
-                // (the entire warm-up phase arrives as a single batch);
-                // the trace is folded in batch order, identical to
-                // per-candidate calls.
-                for (config, v) in live.iter().zip(objective.evaluate_batch(live)) {
-                    completed.push((config.clone(), v.energy, v.penalized));
-                    raw_trace.push((v.energy, v.penalized));
-                    values.push(v.penalized);
-                }
-                live_batches += 1;
-            }
-            BatchStatus::Values(values)
-        },
-        seeds,
-        &bo_opts,
-        engine,
-    );
-    if let Some(index) = diverged {
-        return Err(ResumeError::HistoryDiverged { index });
-    }
-    if !finished {
-        let fingerprint = resume.map_or(0, |c| c.fingerprint);
-        return Ok(RunStatus::Suspended(SearchCheckpoint { fingerprint, history: completed }));
-    }
-    // Polish endgame: incremental coordinate and pair sweeps (see
-    // `polish_on`), with the screened variant fed the BO history.
-    let history: Vec<(Vec<usize>, f64)> = if opts.polish_screen_top > 0 && opts.polish_sweeps > 0 {
-        result.history.iter().map(|e| (e.config.clone(), e.value)).collect()
-    } else {
-        Vec::new()
-    };
-    let bo_evaluations = raw_trace.len();
-    let bo_seconds = bo_clock.elapsed().as_secs_f64();
-    let polish_clock = Instant::now();
-    let outcome = polish_on(engine, &objective, &result.best_config, opts, &history);
-    let polish_seconds = polish_clock.elapsed().as_secs_f64();
-    let mut iterations_to_best = result.iterations_to_best;
-    if let Some(accept) = outcome.last_accept {
-        iterations_to_best = bo_evaluations + accept;
-    }
-    raw_trace.extend(outcome.trace.iter().copied());
+}
+
+/// The search trace of `(raw energy, penalized)` evaluations, with the
+/// running best penalized value.
+fn running_best_trace(evaluations: impl Iterator<Item = (f64, f64)>) -> Vec<SearchPoint> {
     let mut best = f64::INFINITY;
-    let trace: Vec<SearchPoint> = raw_trace
-        .iter()
-        .map(|&(energy, penalized)| {
+    evaluations
+        .map(|(energy, penalized)| {
             best = best.min(penalized);
             SearchPoint { energy, penalized, best_so_far: best }
         })
-        .collect();
-    Ok(RunStatus::Complete(CafqaResult {
-        best_config: outcome.best_config,
-        energy: outcome.best_value.energy,
-        penalized: outcome.best_value.penalized,
-        evaluations: trace.len(),
-        iterations_to_best,
-        trace,
-        polish_evaluations: outcome.trace.len(),
-        bo_seconds,
-        polish_seconds,
-        polish_seek_stats: outcome.seek_stats,
-    }))
+        .collect()
 }
 
 /// The pair list of the pair-polish phase, one definition shared by the

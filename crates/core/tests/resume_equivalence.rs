@@ -1,27 +1,23 @@
-//! The checkpoint/resume bit-identity contract of
-//! `run_cafqa_resumable_on` — the serving layer's foundation.
+//! The suspend/resume bit-identity contract of a parked [`CafqaJob`] —
+//! how `cafqa-serve` interrupts a job between slices.
 //!
-//! Four layers:
+//! Three layers:
 //!
-//! 1. **Resume-at-refit-k equals uninterrupted**: suspend the BO phase
-//!    after k live batches, resume from the returned checkpoint, and the
-//!    completed `CafqaResult` — trace, configs, every energy bit — must
-//!    equal the uninterrupted run's, for several k and at worker counts
-//!    {1, 2, 8}.
-//! 2. **Chained slices**: a job run as many one-refit slices (suspend
-//!    after every live batch, resume, repeat — the serve scheduler's
-//!    fair-share shape) completes bit-identical to the one-shot run.
-//! 3. **Wrapper equivalence**: `run_cafqa_on` is the resumable runner
-//!    with an always-Continue control — the pre-refactor path is pinned.
-//! 4. **Structured failure**: mismatched fingerprints and checkpoints
-//!    from a different seed stream reject with `ResumeError` instead of
-//!    corrupting the search.
+//! 1. **Resume-at-refit-k equals uninterrupted**: step the job through k
+//!    BO batches, park it (drop the objective, move the job to another
+//!    thread), resume on a freshly built objective, and the completed
+//!    `CafqaResult` — trace, configs, every energy bit — must equal the
+//!    uninterrupted run's, for several k and at worker counts {1, 2, 8}.
+//! 2. **Chained slices**: a job run as many one-refit slices (one step,
+//!    park, rebuild, repeat — the serve scheduler's fair-share shape)
+//!    completes bit-identical to the one-shot run.
+//! 3. **Wrapper equivalence**: `run_cafqa_on` is the job loop driven to
+//!    completion on one objective — pinned on a penalized, seeded
+//!    instance, with and without a suspension.
 
 use cafqa_circuit::EfficientSu2;
-use cafqa_core::fingerprint::job_fingerprint;
 use cafqa_core::{
-    run_cafqa_on, run_cafqa_resumable_on, CafqaOptions, CafqaResult, ExecEngine, Penalty,
-    ResumeError, RunControl, RunStatus, SearchCheckpoint,
+    run_cafqa_on, CafqaJob, CafqaOptions, CafqaResult, CliffordObjective, ExecEngine, Penalty,
 };
 use cafqa_pauli::PauliOp;
 
@@ -45,7 +41,7 @@ fn assert_results_bitwise(a: &CafqaResult, b: &CafqaResult, what: &str) {
 }
 
 /// A non-Ising 3-qubit instance (mixed columns), so the BO search —
-/// not the structured fast path — is what gets checkpointed.
+/// not the structured fast path — is what gets suspended.
 fn problem() -> (EfficientSu2, PauliOp) {
     let h: PauliOp = "0.5*XXI + 0.25*ZZI - 0.1*YIZ + 0.7*IZZ + 0.3*XIX - 0.2*IYY".parse().unwrap();
     (EfficientSu2::new(3, 1), h)
@@ -55,44 +51,54 @@ fn opts() -> CafqaOptions {
     CafqaOptions { warmup: 24, iterations: 48, polish_sweeps: 2, ..Default::default() }
 }
 
-/// Runs to completion with a control that suspends before live batch
-/// `k`, then resumes once with an always-Continue control.
+/// The objective a slice builds for itself: `h` plus `penalties` on `engine`.
+fn objective<'a>(
+    engine: &ExecEngine,
+    ansatz: &'a EfficientSu2,
+    h: &'a PauliOp,
+    penalties: Vec<Penalty>,
+) -> CliffordObjective<'a> {
+    penalties.into_iter().fold(
+        CliffordObjective::new(ansatz, h).with_engine(engine.clone()),
+        CliffordObjective::with_penalty,
+    )
+}
+
+/// Steps `job` on `objective` until it returns its result.
+fn finish(job: &mut CafqaJob, objective: &CliffordObjective<'_>) -> CafqaResult {
+    for _ in 0..10_000 {
+        if let Some(result) = job.step(objective) {
+            return result;
+        }
+    }
+    panic!("runaway job");
+}
+
+/// Runs `k` steps, parks the job (its objective dropped), then resumes
+/// it on another thread with a freshly built objective.
 fn run_with_one_suspension(
     engine: &ExecEngine,
     k: usize,
+    penalties: &dyn Fn() -> Vec<Penalty>,
     seeds: &[Vec<usize>],
-) -> (CafqaResult, SearchCheckpoint) {
+) -> CafqaResult {
     let (ansatz, h) = problem();
     let opts = opts();
-    let fingerprint = job_fingerprint(&ansatz, &h, &[], seeds, &opts);
-    let status =
-        run_cafqa_resumable_on(engine, &ansatz, &h, vec![], seeds, &opts, None, &mut |p| {
-            if p.live_batches == k {
-                RunControl::Suspend
-            } else {
-                RunControl::Continue
-            }
-        })
-        .expect("fresh run cannot fail");
-    let RunStatus::Suspended(mut checkpoint) = status else {
-        panic!("control must suspend before live batch {k}");
+    let mut parked = {
+        let first = objective(engine, &ansatz, &h, penalties());
+        let mut job = CafqaJob::new(&first, seeds, &opts);
+        for step in 0..k {
+            assert!(job.step(&first).is_none(), "job finished early at step {step} of {k}");
+        }
+        job
     };
-    checkpoint.fingerprint = fingerprint;
-    let resumed = run_cafqa_resumable_on(
-        engine,
-        &ansatz,
-        &h,
-        vec![],
-        seeds,
-        &opts,
-        Some(&checkpoint),
-        &mut |_| RunControl::Continue,
-    )
-    .expect("fingerprint matches");
-    let RunStatus::Complete(result) = resumed else {
-        panic!("always-Continue resume must complete");
-    };
-    (result, checkpoint)
+    let penalties = penalties();
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| finish(&mut parked, &objective(engine, &ansatz, &h, penalties)))
+            .join()
+            .expect("resumed job must not panic")
+    })
 }
 
 #[test]
@@ -105,15 +111,8 @@ fn resume_at_refit_k_is_bit_identical_to_uninterrupted() {
         // k = 0 suspends before any work (warm-up included); larger k
         // land mid-acquisition.
         for k in [0usize, 1, 3, 7] {
-            let (resumed, checkpoint) = run_with_one_suspension(&engine, k, &[]);
+            let resumed = run_with_one_suspension(&engine, k, &Vec::new, &[]);
             assert_results_bitwise(&resumed, &reference, &format!("k = {k} at {workers} workers"));
-            // The checkpoint is a strict prefix of the uninterrupted
-            // evaluation sequence (whole-batch aligned).
-            assert!(checkpoint.history.len() < reference.trace.len());
-            for (i, (_, energy, penalized)) in checkpoint.history.iter().enumerate() {
-                assert_eq!(energy.to_bits(), reference.trace[i].energy.to_bits());
-                assert_eq!(penalized.to_bits(), reference.trace[i].penalized.to_bits());
-            }
         }
     }
 }
@@ -121,43 +120,20 @@ fn resume_at_refit_k_is_bit_identical_to_uninterrupted() {
 #[test]
 fn chained_single_refit_slices_complete_bit_identical() {
     // The serve scheduler's fair-share shape: every slice runs exactly
-    // one live batch, suspends, and re-resumes from its own checkpoint.
+    // one step on an objective built for that slice, then parks the job.
     let (ansatz, h) = problem();
     let opts = opts();
     let seeds = vec![vec![0usize; 12]];
     let reference = run_cafqa_on(&ExecEngine::serial(), &ansatz, &h, vec![], &seeds, &opts);
     for workers in [1usize, 2, 8] {
         let engine = ExecEngine::new(workers);
-        let mut checkpoint: Option<SearchCheckpoint> = None;
+        let mut parked = CafqaJob::new(&objective(&engine, &ansatz, &h, vec![]), &seeds, &opts);
         let mut slices = 0usize;
         let result = loop {
             slices += 1;
-            assert!(slices < 1000, "runaway resume loop");
-            let status = run_cafqa_resumable_on(
-                &engine,
-                &ansatz,
-                &h,
-                vec![],
-                &seeds,
-                &opts,
-                checkpoint.as_ref(),
-                &mut |p| {
-                    if p.live_batches == 1 {
-                        RunControl::Suspend
-                    } else {
-                        RunControl::Continue
-                    }
-                },
-            )
-            .expect("self-produced checkpoints always match");
-            match status {
-                RunStatus::Complete(result) => break result,
-                RunStatus::Suspended(next) => {
-                    // Progress: every slice must grow the history.
-                    let prior = checkpoint.as_ref().map_or(0, |c| c.history.len());
-                    assert!(next.history.len() > prior, "slice {slices} made no progress");
-                    checkpoint = Some(next);
-                }
+            assert!(slices < 1000, "runaway slice loop");
+            if let Some(result) = parked.step(&objective(&engine, &ansatz, &h, vec![])) {
+                break result;
             }
         };
         assert!(slices > 3, "the budget must span several slices, got {slices}");
@@ -167,8 +143,8 @@ fn chained_single_refit_slices_complete_bit_identical() {
 
 #[test]
 fn wrapper_matches_resumable_with_penalties_and_seeds() {
-    // run_cafqa_on is now a shim over the resumable entry point; pin the
-    // equivalence on a penalized, seeded instance (the molecular shape).
+    // run_cafqa_on is a loop over CafqaJob; pin the equivalence on a
+    // penalized, seeded instance (the molecular shape).
     let (ansatz, h) = problem();
     let opts = opts();
     let pen_op: PauliOp = "1.0*ZII + 1.0*IZI".parse().unwrap();
@@ -176,86 +152,11 @@ fn wrapper_matches_resumable_with_penalties_and_seeds() {
     let engine = ExecEngine::new(2);
     let penalties = || vec![Penalty::new("n", &pen_op, 2.0, 0.7)];
     let direct = run_cafqa_on(&engine, &ansatz, &h, penalties(), &seeds, &opts);
-    let status =
-        run_cafqa_resumable_on(&engine, &ansatz, &h, penalties(), &seeds, &opts, None, &mut |_| {
-            RunControl::Continue
-        })
-        .unwrap();
-    let RunStatus::Complete(via_resumable) = status else { panic!("must complete") };
-    assert_results_bitwise(&via_resumable, &direct, "wrapper vs resumable");
+    let single = objective(&engine, &ansatz, &h, penalties());
+    let via_job = finish(&mut CafqaJob::new(&single, &seeds, &opts), &single);
+    assert_results_bitwise(&via_job, &direct, "wrapper vs job");
     // And a suspension mid-way through the penalized run still resumes
     // bit-identically.
-    let fp = job_fingerprint(&ansatz, &h, &penalties(), &seeds, &opts);
-    let status =
-        run_cafqa_resumable_on(&engine, &ansatz, &h, penalties(), &seeds, &opts, None, &mut |p| {
-            if p.live_batches == 2 {
-                RunControl::Suspend
-            } else {
-                RunControl::Continue
-            }
-        })
-        .unwrap();
-    let RunStatus::Suspended(mut checkpoint) = status else { panic!("must suspend") };
-    checkpoint.fingerprint = fp;
-    let status = run_cafqa_resumable_on(
-        &engine,
-        &ansatz,
-        &h,
-        penalties(),
-        &seeds,
-        &opts,
-        Some(&checkpoint),
-        &mut |_| RunControl::Continue,
-    )
-    .unwrap();
-    let RunStatus::Complete(resumed) = status else { panic!("must complete") };
+    let resumed = run_with_one_suspension(&engine, 2, &penalties, &seeds);
     assert_results_bitwise(&resumed, &direct, "penalized resume");
-}
-
-#[test]
-fn foreign_checkpoints_reject_with_structured_errors() {
-    let (ansatz, h) = problem();
-    let opts = opts();
-    let engine = ExecEngine::serial();
-    let fp = job_fingerprint(&ansatz, &h, &[], &[], &opts);
-    // Wrong fingerprint: rejected before any work.
-    let checkpoint = SearchCheckpoint { fingerprint: fp ^ 1, history: vec![] };
-    let err = run_cafqa_resumable_on(
-        &engine,
-        &ansatz,
-        &h,
-        vec![],
-        &[],
-        &opts,
-        Some(&checkpoint),
-        &mut |_| RunControl::Continue,
-    )
-    .unwrap_err();
-    assert_eq!(err, ResumeError::FingerprintMismatch { expected: fp, found: fp ^ 1 });
-    // A checkpoint whose recorded configs come from a different seed
-    // stream: fingerprint 0 skips the hash check, so the divergence is
-    // caught by replay validation instead.
-    let status = run_cafqa_resumable_on(&engine, &ansatz, &h, vec![], &[], &opts, None, &mut |p| {
-        if p.live_batches == 1 {
-            RunControl::Suspend
-        } else {
-            RunControl::Continue
-        }
-    })
-    .unwrap();
-    let RunStatus::Suspended(mut foreign) = status else { panic!("must suspend") };
-    foreign.fingerprint = 0;
-    foreign.history[0].0[0] ^= 1; // corrupt the first recorded config
-    let err = run_cafqa_resumable_on(
-        &engine,
-        &ansatz,
-        &h,
-        vec![],
-        &[],
-        &opts,
-        Some(&foreign),
-        &mut |_| RunControl::Continue,
-    )
-    .unwrap_err();
-    assert_eq!(err, ResumeError::HistoryDiverged { index: 0 });
 }

@@ -4,7 +4,7 @@
 //!
 //! Keys come from [`cafqa_core::fingerprint`]: the **exact** key hashes
 //! the canonical sorted mask-form term set *with* coefficient bits,
-//! penalties, ansatz shape, seeds and the determinism-relevant
+//! penalties, ansatz structure, seeds and the determinism-relevant
 //! [`CafqaOptions`](cafqa_core::CafqaOptions) fields, so an exact match
 //! means a bit-identical result by the workspace determinism contracts.
 //! The **family** key drops only the Hamiltonian coefficients: jobs in

@@ -81,6 +81,22 @@ impl JobSpec {
     /// [`ServeError`].
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
         let nq = self.ansatz.num_qubits();
+        // Non-finite inputs would be hashed by their NaN bits and cached
+        // as results; reject them at the door.
+        if let Some((string, _)) =
+            self.hamiltonian.iter().find(|(_, c)| !(c.re.is_finite() && c.im.is_finite()))
+        {
+            return Err(ServeError::NonFinite {
+                what: format!("hamiltonian coefficient of {string}"),
+            });
+        }
+        for (index, p) in self.penalties.iter().enumerate() {
+            for (what, value) in [("target", p.target), ("weight", p.weight)] {
+                if !value.is_finite() {
+                    return Err(ServeError::NonFinite { what: format!("penalty {index} {what}") });
+                }
+            }
+        }
         if self.hamiltonian.num_qubits() != nq {
             return Err(ServeError::QubitMismatch {
                 what: "hamiltonian",
@@ -161,14 +177,16 @@ pub enum JobStatus {
     Queued,
     /// Currently running a slice on the engine.
     Running,
-    /// Between slices, checkpointed; will be rescheduled round-robin.
+    /// Between slices, its search state parked in memory; will be
+    /// rescheduled round-robin.
     Suspended,
     /// Finished; the outcome is available.
     Completed,
     /// Cancelled before completion.
     Cancelled,
-    /// Rejected by the runner mid-flight (does not happen for specs
-    /// that passed validation; kept for API totality).
+    /// A slice panicked (an internal bug). The panic is isolated to this
+    /// job: its state is dropped, the message is reported through
+    /// [`ServeError::JobFailed`], and the scheduler keeps serving.
     Failed,
 }
 
@@ -223,6 +241,13 @@ pub enum ServeError {
         /// What is wrong with it.
         reason: String,
     },
+    /// A Hamiltonian coefficient, penalty target or penalty weight is NaN
+    /// or infinite.
+    NonFinite {
+        /// Which input ("hamiltonian coefficient of XZI", "penalty 0
+        /// weight", …).
+        what: String,
+    },
     /// `IsingFastPath::Force` was requested for an instance that cannot
     /// route (the runner would panic; the server rejects instead).
     NotIsingClass {
@@ -235,11 +260,11 @@ pub enum ServeError {
     UnknownJob(JobId),
     /// The job was cancelled before completing.
     Cancelled(JobId),
-    /// The runner rejected the job mid-flight.
+    /// The job failed mid-flight (a slice panicked).
     JobFailed {
         /// The failing job.
         id: JobId,
-        /// The runner's error message.
+        /// The panic message.
         message: String,
     },
 }
@@ -254,6 +279,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "{what} acts on {found} qubits, the ansatz on {ansatz}")
             }
             ServeError::BadSeed { index, reason } => write!(f, "seed {index} {reason}"),
+            ServeError::NonFinite { what } => write!(f, "{what} is not finite"),
             ServeError::NotIsingClass { reason } => {
                 write!(f, "ising_fast_path = Force rejected: {reason}")
             }
@@ -308,6 +334,23 @@ mod tests {
         bad.seeds.push(vec![0; 12]);
         bad.seeds.push(vec![4; 12]);
         assert!(matches!(bad.validate(), Err(ServeError::BadSeed { index: 1, .. })));
+        // Non-finite Hamiltonian coefficient, penalty target and weight.
+        let bad = JobSpec::new(
+            ansatz.clone(),
+            op(3, &[(1.0, "ZZI"), (f64::NAN, "XIZ")]),
+            CafqaOptions::quick(),
+        );
+        assert_eq!(
+            bad.validate(),
+            Err(ServeError::NonFinite { what: "hamiltonian coefficient of XIZ".into() })
+        );
+        let mut bad = good.clone();
+        bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), f64::INFINITY, 1.0));
+        assert_eq!(bad.validate(), Err(ServeError::NonFinite { what: "penalty 0 target".into() }));
+        let mut bad = good.clone();
+        bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), 1.0, 0.5));
+        bad.penalties.push(PenaltySpec::new("sz", op(3, &[(1.0, "IZI")]), 0.0, f64::NAN));
+        assert_eq!(bad.validate(), Err(ServeError::NonFinite { what: "penalty 1 weight".into() }));
         // Force on a non-Ising instance rejects instead of panicking.
         let mut bad = JobSpec::new(
             ansatz.clone(),

@@ -4,22 +4,21 @@
 //! # Serving model
 //!
 //! [`CafqaServer::start`] spawns one scheduler thread that round-robins
-//! **slices** of Bayesian-optimization work between all queued jobs:
-//! each slice runs a bounded number of live BO batches (one warm-up
-//! batch, then one batch per surrogate refit), then suspends the job
-//! into a [checkpoint](cafqa_core::SearchCheckpoint) and requeues it at
-//! the back. A small Cr2-class job submitted behind a large one
-//! therefore completes after a handful of slices instead of waiting for
-//! the large job's entire search — fair-share scheduling without
-//! preemptive threads.
+//! **slices** of work between all queued jobs: each slice runs a bounded
+//! number of [`CafqaJob`](cafqa_core::CafqaJob) steps
+//! ([`ServeOptions::slice_batches`]; a step is one BO batch — the warm-up
+//! phase, then one per surrogate refit — the polish endgame, or an
+//! Ising-routed solve), then requeues the job at the back. A small
+//! Cr2-class job submitted behind a large one therefore completes after
+//! a handful of slices instead of waiting for the large job's entire
+//! search — fair-share scheduling without preemptive threads.
 //!
-//! Suspension is built on replay-based resume: BO decisions are a pure
-//! function of the seed and the returned objective values, so resuming
-//! from a checkpoint re-serves the recorded values (skipping the
-//! expensive objective evaluations) and lands in exactly the state an
-//! uninterrupted run would occupy. **A job sliced N ways is
-//! bit-identical to the same job run solo**, at any engine worker
-//! count.
+//! Between slices the job's search state stays in memory, in the
+//! server's job table: suspending a job just means it stops stepping,
+//! and resuming rebuilds only its objective. Nothing is replayed, so a
+//! sliced job costs the same compute as a solo run, and **a job sliced
+//! N ways is bit-identical to the same job run solo**, at any engine
+//! worker count.
 //!
 //! # Content-addressed caching and warm starts
 //!
@@ -37,8 +36,11 @@
 //! Every error reachable from the serve API is a structured
 //! [`ServeError`]: malformed specs reject at [`CafqaServer::submit`],
 //! oversized Ising routes reject at validation, a full queue
-//! backpressures with [`ServeError::QueueFull`], and runner failures
-//! surface through [`CafqaServer::wait`] as [`ServeError::JobFailed`].
+//! backpressures with [`ServeError::QueueFull`], and non-finite
+//! coefficients or penalty settings reject with [`ServeError::NonFinite`].
+//! Each slice runs under `catch_unwind`: a panic (an internal bug) fails
+//! only its own job, surfacing through [`CafqaServer::wait`] as
+//! [`ServeError::JobFailed`], while the scheduler keeps serving.
 //!
 //! ```
 //! use cafqa_circuit::EfficientSu2;

@@ -2,15 +2,15 @@
 //! a fair-share scheduler thread slicing concurrent jobs over one
 //! shared [`ExecEngine`].
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use cafqa_core::fingerprint::{coefficient_vector, family_fingerprint, job_fingerprint};
-use cafqa_core::{
-    run_cafqa_resumable_on, CafqaResult, ExecEngine, RunControl, RunStatus, SearchCheckpoint,
-};
+use cafqa_core::{CafqaJob, CafqaResult, CliffordObjective, ExecEngine};
 
 use crate::cache::{CacheRecord, ResultCache};
 use crate::job::{Disposition, JobId, JobOutcome, JobSpec, JobStatus, ServeError};
@@ -22,11 +22,14 @@ pub struct ServeOptions {
     /// submissions reject with [`ServeError::QueueFull`] — the
     /// backpressure contract. Completed jobs do not count.
     pub capacity: usize,
-    /// Live BO batches (one warm-up batch, then one per surrogate
-    /// refit) a job runs per scheduler slice before it is suspended and
-    /// requeued round-robin. Small slices keep one Cr2-class job from
-    /// starving H2-sized ones; the checkpoint/resume bit-identity
-    /// contract makes the slicing invisible in every result.
+    /// [`CafqaJob`] steps a job runs per scheduler slice before it is
+    /// requeued round-robin: one step is one BO batch (the warm-up phase,
+    /// then one per surrogate refit), the polish endgame, or an
+    /// Ising-routed solve. The job's state stays in memory between
+    /// slices, so slicing costs nothing beyond rebuilding the objective;
+    /// small slices keep one Cr2-class job from starving H2-sized ones,
+    /// and stepping is bit-identical to a solo run, so the slicing is
+    /// invisible in every result.
     pub slice_batches: usize,
     /// Warm-start near hits: seed a new job's search with the incumbent
     /// of the nearest completed same-family job (same term masks,
@@ -58,14 +61,32 @@ pub struct ServerStats {
     pub warm_starts: u64,
     /// Jobs cancelled before completion.
     pub cancelled: u64,
-    /// Jobs the runner failed mid-flight.
+    /// Jobs whose slice panicked (an internal bug, isolated to the job).
     pub failed: u64,
     /// Scheduler slices executed (suspensions + completions).
     pub slices: u64,
 }
 
 struct JobEntry {
-    spec: JobSpec,
+    status: JobStatus,
+    /// The submission and its search state while the job is in flight;
+    /// dropped once it is terminal.
+    live: Option<LiveJob>,
+    /// The completed result.
+    finished: Option<Finished>,
+    error: Option<String>,
+    cancel: Arc<AtomicBool>,
+}
+
+impl JobEntry {
+    fn new(status: JobStatus, live: Option<LiveJob>, finished: Option<Finished>) -> Self {
+        JobEntry { status, live, finished, error: None, cancel: Arc::new(AtomicBool::new(false)) }
+    }
+}
+
+/// What the scheduler needs of a job in flight.
+struct LiveJob {
+    spec: Arc<JobSpec>,
     /// Exact fingerprint of the spec as submitted.
     fingerprint_submitted: u64,
     /// Exact fingerprint of the spec actually run (differs from
@@ -73,11 +94,28 @@ struct JobEntry {
     fingerprint_effective: u64,
     family: u64,
     disposition: Disposition,
-    status: JobStatus,
-    checkpoint: Option<SearchCheckpoint>,
-    outcome: Option<JobOutcome>,
-    error: Option<String>,
-    cancel: Arc<AtomicBool>,
+    /// The in-memory search state between slices (`None` before the
+    /// first slice).
+    job: Option<CafqaJob>,
+}
+
+/// A completed job: its result (shared with the cache record) and
+/// provenance.
+struct Finished {
+    result: Arc<CafqaResult>,
+    disposition: Disposition,
+    seeds_used: Vec<Vec<usize>>,
+}
+
+impl Finished {
+    fn outcome(&self, id: JobId) -> JobOutcome {
+        JobOutcome {
+            id,
+            result: (*self.result).clone(),
+            disposition: self.disposition,
+            seeds_used: self.seeds_used.clone(),
+        }
+    }
 }
 
 struct ServerState {
@@ -89,6 +127,25 @@ struct ServerState {
     in_flight: usize,
     shutdown: bool,
     stats: ServerStats,
+}
+
+impl ServerState {
+    /// Completes job `id` on the spot from the record cached under
+    /// `fingerprint`; `false` on a miss.
+    fn complete_from_cache(&mut self, id: u64, fingerprint: u64) -> bool {
+        let Some(record) = self.cache.get(fingerprint) else {
+            return false;
+        };
+        let finished = Finished {
+            result: Arc::clone(&record.result),
+            disposition: Disposition::CacheHit,
+            seeds_used: record.seeds_used.clone(),
+        };
+        self.jobs.insert(id, JobEntry::new(JobStatus::Completed, None, Some(finished)));
+        self.stats.completed += 1;
+        self.stats.cache_hits += 1;
+        true
+    }
 }
 
 struct Shared {
@@ -168,28 +225,7 @@ impl CafqaServer {
         state.next_id += 1;
         state.stats.submitted += 1;
         // Exact hit on the as-submitted spec: completed on the spot.
-        if let Some(record) = state.cache.get(fingerprint_submitted) {
-            let outcome = JobOutcome {
-                id,
-                result: (*record.result).clone(),
-                disposition: Disposition::CacheHit,
-                seeds_used: record.seeds_used.clone(),
-            };
-            let entry = JobEntry {
-                spec,
-                fingerprint_submitted,
-                fingerprint_effective: fingerprint_submitted,
-                family,
-                disposition: Disposition::CacheHit,
-                status: JobStatus::Completed,
-                checkpoint: None,
-                outcome: Some(outcome),
-                error: None,
-                cancel: Arc::new(AtomicBool::new(false)),
-            };
-            state.jobs.insert(id.0, entry);
-            state.stats.completed += 1;
-            state.stats.cache_hits += 1;
+        if state.complete_from_cache(id.0, fingerprint_submitted) {
             drop(state);
             self.shared.done.notify_all();
             return Ok(id);
@@ -224,47 +260,22 @@ impl CafqaServer {
         // The effective spec may itself be cached (same donor chosen on
         // an earlier identical submission whose as-submitted alias was
         // since evicted): still an exact hit.
-        if fingerprint_effective != fingerprint_submitted {
-            if let Some(record) = state.cache.get(fingerprint_effective) {
-                let outcome = JobOutcome {
-                    id,
-                    result: (*record.result).clone(),
-                    disposition: Disposition::CacheHit,
-                    seeds_used: record.seeds_used.clone(),
-                };
-                let entry = JobEntry {
-                    spec,
-                    fingerprint_submitted,
-                    fingerprint_effective,
-                    family,
-                    disposition: Disposition::CacheHit,
-                    status: JobStatus::Completed,
-                    checkpoint: None,
-                    outcome: Some(outcome),
-                    error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                };
-                state.jobs.insert(id.0, entry);
-                state.stats.completed += 1;
-                state.stats.cache_hits += 1;
-                drop(state);
-                self.shared.done.notify_all();
-                return Ok(id);
-            }
+        if fingerprint_effective != fingerprint_submitted
+            && state.complete_from_cache(id.0, fingerprint_effective)
+        {
+            drop(state);
+            self.shared.done.notify_all();
+            return Ok(id);
         }
-        let entry = JobEntry {
-            spec,
+        let live = LiveJob {
+            spec: Arc::new(spec),
             fingerprint_submitted,
             fingerprint_effective,
             family,
             disposition,
-            status: JobStatus::Queued,
-            checkpoint: None,
-            outcome: None,
-            error: None,
-            cancel: Arc::new(AtomicBool::new(false)),
+            job: None,
         };
-        state.jobs.insert(id.0, entry);
+        state.jobs.insert(id.0, JobEntry::new(JobStatus::Queued, Some(live), None));
         state.queue.push_back(id.0);
         state.in_flight += 1;
         drop(state);
@@ -288,7 +299,8 @@ impl CafqaServer {
             };
             match entry.status {
                 JobStatus::Completed => {
-                    return Ok(entry.outcome.clone().expect("completed jobs carry an outcome"));
+                    let finished = entry.finished.as_ref().expect("completed jobs carry a result");
+                    return Ok(finished.outcome(id));
                 }
                 JobStatus::Cancelled => return Err(ServeError::Cancelled(id)),
                 JobStatus::Failed => {
@@ -303,7 +315,7 @@ impl CafqaServer {
     }
 
     /// Requests cooperative cancellation. Queued jobs cancel before
-    /// their first slice; running jobs stop at the next batch boundary.
+    /// their first slice; running jobs stop before their next step.
     /// Returns whether the request landed on a live job (`false` once
     /// terminal).
     pub fn cancel(&self, id: JobId) -> Result<bool, ServeError> {
@@ -331,7 +343,7 @@ impl CafqaServer {
     }
 
     /// Stops admissions, drains every in-flight job (cancelled jobs
-    /// stop at their next batch boundary), and joins the scheduler.
+    /// stop before their next step), and joins the scheduler.
     /// Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
         {
@@ -354,9 +366,47 @@ impl Drop for CafqaServer {
 /// One slice of one job, run outside the state lock.
 enum SliceOutcome {
     Completed(CafqaResult),
-    Suspended(SearchCheckpoint),
+    Suspended(CafqaJob),
     Cancelled,
     Failed(String),
+}
+
+/// Steps `job` (started on the first slice) up to `steps` times on a
+/// freshly built objective, checking for cancellation before each step.
+fn run_slice(
+    engine: &ExecEngine,
+    spec: &JobSpec,
+    job: Option<CafqaJob>,
+    cancel: &AtomicBool,
+    steps: usize,
+) -> SliceOutcome {
+    #[cfg(test)]
+    if spec.opts.seed == tests::PANIC_SEED {
+        panic!("injected slice panic");
+    }
+    let objective = spec.build_penalties().into_iter().fold(
+        CliffordObjective::new(&spec.ansatz, &spec.hamiltonian).with_engine(engine.clone()),
+        CliffordObjective::with_penalty,
+    );
+    let mut job = job.unwrap_or_else(|| CafqaJob::new(&objective, &spec.seeds, &spec.opts));
+    for _ in 0..steps {
+        if cancel.load(Ordering::Relaxed) {
+            return SliceOutcome::Cancelled;
+        }
+        if let Some(result) = job.step(&objective) {
+            return SliceOutcome::Completed(result);
+        }
+    }
+    SliceOutcome::Suspended(job)
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "slice panicked".to_string())
 }
 
 fn scheduler_loop(shared: &Shared) {
@@ -375,12 +425,13 @@ fn scheduler_loop(shared: &Shared) {
             }
         };
         let Some(id) = claimed else { return };
-        // Snapshot what the slice needs, mark Running.
-        let (spec, penalties, checkpoint, cancel, slice_batches) = {
+        // Take what the slice needs, mark Running.
+        let (spec, job, cancel) = {
             let mut state = shared.state.lock().expect("server state poisoned");
             let entry = state.jobs.get_mut(&id).expect("queued jobs exist");
             if entry.cancel.load(Ordering::Relaxed) {
                 entry.status = JobStatus::Cancelled;
+                entry.live = None;
                 state.in_flight -= 1;
                 state.stats.cancelled += 1;
                 drop(state);
@@ -388,46 +439,17 @@ fn scheduler_loop(shared: &Shared) {
                 continue;
             }
             entry.status = JobStatus::Running;
-            (
-                entry.spec.clone(),
-                entry.spec.build_penalties(),
-                entry.checkpoint.take(),
-                Arc::clone(&entry.cancel),
-                shared.opts.slice_batches.max(1),
-            )
+            let live = entry.live.as_mut().expect("queued jobs are live");
+            (Arc::clone(&live.spec), live.job.take(), Arc::clone(&entry.cancel))
         };
         // Run one slice on the engine, lock released. The spec was
-        // validated at admission, the checkpoint is self-produced, and
-        // every runner error path is structured — nothing here can
-        // panic the scheduler.
-        let outcome = {
-            let cancel_seen = &cancel;
-            let status = run_cafqa_resumable_on(
-                &shared.engine,
-                &spec.ansatz,
-                &spec.hamiltonian,
-                penalties,
-                &spec.seeds,
-                &spec.opts,
-                checkpoint.as_ref(),
-                &mut |progress| {
-                    if cancel_seen.load(Ordering::Relaxed) || progress.live_batches >= slice_batches
-                    {
-                        RunControl::Suspend
-                    } else {
-                        RunControl::Continue
-                    }
-                },
-            );
-            match status {
-                Ok(RunStatus::Complete(result)) => SliceOutcome::Completed(result),
-                Ok(RunStatus::Suspended(_)) if cancel.load(Ordering::Relaxed) => {
-                    SliceOutcome::Cancelled
-                }
-                Ok(RunStatus::Suspended(checkpoint)) => SliceOutcome::Suspended(checkpoint),
-                Err(err) => SliceOutcome::Failed(err.to_string()),
-            }
-        };
+        // validated at admission; a panic anyway (an internal bug) fails
+        // this job alone and drops its state — the scheduler lives on.
+        let steps = shared.opts.slice_batches.max(1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_slice(&shared.engine, &spec, job, &cancel, steps)
+        }))
+        .unwrap_or_else(|payload| SliceOutcome::Failed(panic_message(payload)));
         // Publish the slice result.
         let mut state = shared.state.lock().expect("server state poisoned");
         state.stats.slices += 1;
@@ -435,44 +457,44 @@ fn scheduler_loop(shared: &Shared) {
             SliceOutcome::Completed(result) => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
                 entry.status = JobStatus::Completed;
-                let disposition = entry.disposition;
-                let outcome = JobOutcome {
-                    id: JobId(id),
-                    result: result.clone(),
-                    disposition,
-                    seeds_used: entry.spec.seeds.clone(),
-                };
-                entry.outcome = Some(outcome);
+                let live = entry.live.take().expect("running jobs are live");
+                let result = Arc::new(result);
+                entry.finished = Some(Finished {
+                    result: Arc::clone(&result),
+                    disposition: live.disposition,
+                    seeds_used: live.spec.seeds.clone(),
+                });
                 let record = CacheRecord {
-                    keys: if entry.fingerprint_submitted == entry.fingerprint_effective {
-                        vec![entry.fingerprint_submitted]
+                    keys: if live.fingerprint_submitted == live.fingerprint_effective {
+                        vec![live.fingerprint_submitted]
                     } else {
-                        vec![entry.fingerprint_submitted, entry.fingerprint_effective]
+                        vec![live.fingerprint_submitted, live.fingerprint_effective]
                     },
-                    family: entry.family,
-                    coefficients: coefficient_vector(&entry.spec.hamiltonian),
+                    family: live.family,
+                    coefficients: coefficient_vector(&live.spec.hamiltonian),
                     incumbent: result.best_config.clone(),
-                    result: Arc::new(result),
-                    seeds_used: entry.spec.seeds.clone(),
+                    result,
+                    seeds_used: live.spec.seeds.clone(),
                 };
                 state.cache.insert(record);
                 state.in_flight -= 1;
                 state.stats.completed += 1;
-                if matches!(state.jobs[&id].disposition, Disposition::WarmStarted { .. }) {
+                if matches!(live.disposition, Disposition::WarmStarted { .. }) {
                     state.stats.warm_starts += 1;
                 }
                 drop(state);
                 shared.done.notify_all();
             }
-            SliceOutcome::Suspended(checkpoint) => {
+            SliceOutcome::Suspended(job) => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
                 entry.status = JobStatus::Suspended;
-                entry.checkpoint = Some(checkpoint);
+                entry.live.as_mut().expect("running jobs are live").job = Some(job);
                 state.queue.push_back(id);
             }
             SliceOutcome::Cancelled => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
                 entry.status = JobStatus::Cancelled;
+                entry.live = None;
                 state.in_flight -= 1;
                 state.stats.cancelled += 1;
                 drop(state);
@@ -481,6 +503,7 @@ fn scheduler_loop(shared: &Shared) {
             SliceOutcome::Failed(message) => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
                 entry.status = JobStatus::Failed;
+                entry.live = None;
                 entry.error = Some(message);
                 state.in_flight -= 1;
                 state.stats.failed += 1;
@@ -488,5 +511,57 @@ fn scheduler_loop(shared: &Shared) {
                 shared.done.notify_all();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cafqa_circuit::EfficientSu2;
+    use cafqa_core::{run_cafqa_on, CafqaOptions};
+    use cafqa_pauli::PauliOp;
+
+    use crate::job::ServeError;
+
+    /// Jobs submitted with this BO seed panic at the start of their
+    /// first slice.
+    pub(super) const PANIC_SEED: u64 = 0xDEAD_5EED;
+
+    #[test]
+    fn a_panicking_slice_fails_its_job_and_the_next_job_still_completes() {
+        let h: PauliOp = "0.5*XXI + 0.25*ZZI - 0.1*YIZ + 0.7*IZZ".parse().unwrap();
+        let opts =
+            CafqaOptions { warmup: 12, iterations: 16, polish_sweeps: 1, ..Default::default() };
+        let ansatz = EfficientSu2::new(3, 1);
+        let engine = ExecEngine::new(2);
+        let serve_opts = ServeOptions { slice_batches: 1, warm_start: false, ..Default::default() };
+        let mut server = CafqaServer::start(engine.clone(), serve_opts);
+        let poisoned = JobSpec::new(
+            ansatz.clone(),
+            h.clone(),
+            CafqaOptions { seed: PANIC_SEED, ..opts.clone() },
+        );
+        let bad = server.submit(poisoned).unwrap();
+        let good = server.submit(JobSpec::new(ansatz.clone(), h.clone(), opts.clone())).unwrap();
+        match server.wait(bad) {
+            Err(ServeError::JobFailed { id, message }) => {
+                assert_eq!(id, bad);
+                assert!(message.contains("injected slice panic"), "message: {message}");
+            }
+            other => panic!("expected a structured failure, got {other:?}"),
+        }
+        assert_eq!(server.status(bad).unwrap(), JobStatus::Failed);
+        let served = server.wait(good).unwrap();
+        let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
+        assert_eq!(served.result.best_config, solo.best_config);
+        assert_eq!(served.result.trace.len(), solo.trace.len());
+        for (a, b) in served.result.trace.iter().zip(&solo.trace) {
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+            assert_eq!(a.penalized.to_bits(), b.penalized.to_bits());
+        }
+        assert_eq!(served.result.iterations_to_best, solo.iterations_to_best);
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.completed), (1, 1));
+        server.shutdown();
     }
 }

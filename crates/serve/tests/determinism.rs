@@ -1,6 +1,6 @@
 //! Service-level determinism and panic-free-serving suite.
 //!
-//! The contracts under test (ISSUE 10 acceptance criteria):
+//! The contracts under test:
 //! - an exact resubmission is a cache hit, bit-identical to the fresh
 //!   run that populated the cache;
 //! - a served (sliced, possibly warm-started) job is bit-identical to a
@@ -10,7 +10,7 @@
 //! - malformed and oversized submissions reject with structured errors,
 //!   never a panic; cancellation and backpressure behave as documented.
 
-use cafqa_circuit::EfficientSu2;
+use cafqa_circuit::{EfficientSu2, Entanglement};
 use cafqa_core::{run_cafqa_on, CafqaOptions, CafqaResult, ExecEngine};
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
@@ -98,25 +98,26 @@ fn resubmission_is_a_bit_identical_cache_hit() {
 fn sliced_serving_matches_solo_at_every_worker_count() {
     // The serial engine is the bit-identity reference for all pools.
     let reference = solo(&ExecEngine::serial(), &spec(1.0), &[]);
+    // 24 warm-up + 48 iterations at B = 4: one warm-up step, 12 BO
+    // steps, one polish step.
+    let steps: usize = 1 + 12 + 1;
     for workers in [1usize, 2, 8] {
-        let engine = ExecEngine::new(workers);
-        // One live batch per slice maximizes suspension churn.
-        let serve_opts = ServeOptions { slice_batches: 1, warm_start: false, ..Default::default() };
-        let mut server = CafqaServer::start(engine, serve_opts);
-        let outcome = server.wait(server.submit(spec(1.0)).unwrap()).unwrap();
-        assert_eq!(outcome.disposition, Disposition::Fresh);
-        let stats = server.stats();
-        assert!(
-            stats.slices > 3,
-            "a 48-iteration search at 1 batch/slice must take many slices, got {}",
-            stats.slices
-        );
-        assert_results_bitwise(
-            &outcome.result,
-            &reference,
-            &format!("sliced @ {workers} workers vs solo serial"),
-        );
-        server.shutdown();
+        // One step per slice maximizes suspension churn; 4 is the default.
+        for slice_batches in [1usize, 4] {
+            let engine = ExecEngine::new(workers);
+            let serve_opts =
+                ServeOptions { slice_batches, warm_start: false, ..Default::default() };
+            let mut server = CafqaServer::start(engine, serve_opts);
+            let outcome = server.wait(server.submit(spec(1.0)).unwrap()).unwrap();
+            assert_eq!(outcome.disposition, Disposition::Fresh);
+            assert_eq!(server.stats().slices, steps.div_ceil(slice_batches) as u64);
+            assert_results_bitwise(
+                &outcome.result,
+                &reference,
+                &format!("{slice_batches} steps/slice @ {workers} workers vs solo serial"),
+            );
+            server.shutdown();
+        }
     }
 }
 
@@ -126,11 +127,11 @@ fn concurrent_jobs_are_bit_identical_to_solo_runs() {
     let serial = ExecEngine::serial();
     let references: Vec<CafqaResult> =
         bonds.iter().map(|&b| solo(&serial, &spec(b), &[])).collect();
-    for workers in [1usize, 2, 8] {
+    for (workers, slice_batches) in [(1usize, 1usize), (2, 2), (8, 1)] {
         let engine = ExecEngine::new(workers);
         // warm_start off: cross-job seeding would change effective
         // inputs (still deterministic, but not equal to the solo refs).
-        let serve_opts = ServeOptions { slice_batches: 2, warm_start: false, ..Default::default() };
+        let serve_opts = ServeOptions { slice_batches, warm_start: false, ..Default::default() };
         let mut server = CafqaServer::start(engine, serve_opts);
         let ids: Vec<_> = bonds.iter().map(|&b| server.submit(spec(b)).unwrap()).collect();
         for ((id, reference), bond) in ids.into_iter().zip(&references).zip(bonds) {
@@ -138,11 +139,33 @@ fn concurrent_jobs_are_bit_identical_to_solo_runs() {
             assert_results_bitwise(
                 &outcome.result,
                 reference,
-                &format!("bond {bond} @ {workers} workers, 3 concurrent jobs"),
+                &format!(
+                    "bond {bond} @ {workers} workers, {slice_batches} steps/slice, 3 concurrent jobs"
+                ),
             );
         }
         server.shutdown();
     }
+}
+
+#[test]
+fn entanglement_topology_is_part_of_the_cache_key() {
+    // Same register width and parameter count, different CX ladders:
+    // a Full-entangled job submitted after a Linear one must compute
+    // fresh, not come back as the Linear job's cached result.
+    let engine = ExecEngine::new(2);
+    let mut server = CafqaServer::start(engine.clone(), ServeOptions::default());
+    let linear = spec(1.0);
+    let mut full = spec(1.0);
+    full.ansatz = EfficientSu2::new(3, 1).with_entanglement(Entanglement::Full);
+    let first = server.wait(server.submit(linear).unwrap()).unwrap();
+    assert_eq!(first.disposition, Disposition::Fresh);
+    let second = server.wait(server.submit(full.clone()).unwrap()).unwrap();
+    assert_ne!(second.disposition, Disposition::CacheHit, "topology change must miss the cache");
+    assert_eq!(second.seeds_used, Vec::<Vec<usize>>::new(), "and must not warm-start");
+    let reference = solo(&engine, &full, &second.seeds_used);
+    assert_results_bitwise(&second.result, &reference, "Full-entangled serve vs solo");
+    server.shutdown();
 }
 
 #[test]
