@@ -14,7 +14,9 @@
 //! CAFQA+kT search (branch-engine stack vs the frozen dense/serial
 //! rejection-sampling loop), the Ising fast path (structure-routed
 //! reduced-space solve vs the full BO pipeline, in instances/second),
-//! and a job sliced by the job server vs the same job run solo.
+//! a job sliced by the job server vs the same job run solo, and the
+//! 34-qubit Cr2 Hamiltonian builder vs its frozen operator-algebra
+//! original.
 //!
 //! The engine and BO A/Bs additionally time themselves with raw
 //! `Instant` measurements (independent of the harness sampling), assert
@@ -26,10 +28,11 @@ use std::time::{Duration, Instant};
 
 use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, SearchSpace};
 use cafqa_bench::{
-    reference_evaluate_batch_spawn, reference_expectation_pauli, reference_kt, reference_polish,
-    ReferenceGenerators,
+    bitwise_diff, reference_evaluate_batch_spawn, reference_expectation_pauli, reference_kt,
+    reference_polish, reference_qubit_hamiltonian, ReferenceGenerators,
 };
-use cafqa_chem::{ChemPipeline, MoleculeKind, ScfKind};
+use cafqa_chem::mapping::Mapping;
+use cafqa_chem::{qubit_hamiltonian, ChemPipeline, MoleculeKind, ScfKind};
 use cafqa_circuit::{Ansatz, EfficientSu2};
 use cafqa_clifford::{BranchEnsemble, CliffordTState, Tableau};
 use cafqa_core::exhaustive::{exhaustive_search_serial, exhaustive_search_with_workers};
@@ -1993,6 +1996,69 @@ fn bench_served_sliced_vs_solo(_: &mut Criterion) {
     assert!(ratio_4 <= 1.1, "4 steps/slice cost {ratio_4:.3}× solo (median of {ROUNDS})");
 }
 
+/// The Hamiltonian builder A/B on the 34-qubit Cr2 surrogate at 2.85 Å
+/// (the stretched bond the Cr2 bond sweep and fig12 `--quick` run):
+/// `qubit_hamiltonian` (precomputed mask-form pair products, in-place
+/// chunk accumulation, reused scratch maps) vs the frozen
+/// `reference_qubit_hamiltonian` (a `PauliOp` clone and a fresh product
+/// map per `(r, s)` term), both in the parity encoding `pipe.problem`
+/// uses.
+///
+/// Rounds alternate the two builders so host-speed drift hits both
+/// alike; the first round warms up and is not timed. Every round asserts
+/// the same term list and bit-identical coefficients. The gate requires
+/// a median speedup ≥ 4×; the numbers land in `BENCH_search.json`.
+fn bench_hamiltonian_build_cr2(_: &mut Criterion) {
+    const GROUP: &str = "hamiltonian_build_cr2_34q";
+    const ROUNDS: usize = 3;
+    if !filter_matches(GROUP) {
+        return;
+    }
+    let pipe = ChemPipeline::build(MoleculeKind::Cr2Surrogate, 2.85, &ScfKind::Rhf)
+        .expect("Cr2 surrogate chemistry");
+    let si = &pipe.spin_integrals;
+    let time = |build: &dyn Fn() -> PauliOp| {
+        let t = Instant::now();
+        let h = build();
+        (h, t.elapsed().as_secs_f64())
+    };
+    let (mut new_s, mut reference_s) = (Vec::new(), Vec::new());
+    let mut terms = 0;
+    for round in 0..=ROUNDS {
+        let (built, built_s) = time(&|| qubit_hamiltonian(si, Mapping::Parity));
+        let (reference, ref_s) = time(&|| reference_qubit_hamiltonian(si, Mapping::Parity));
+        if let Err(diff) = bitwise_diff(&built, &reference) {
+            panic!("round {round}: {diff}");
+        }
+        terms = built.num_terms();
+        if round > 0 {
+            new_s.push(built_s);
+            reference_s.push(ref_s);
+        }
+    }
+    let median = |values: &mut Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
+    let (new_s, reference_s) = (median(&mut new_s), median(&mut reference_s));
+    let speedup = reference_s / new_s;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    record_bench_json(
+        GROUP,
+        format!(
+            "{{\"host_cores\": {host_cores}, \"bond_angstrom\": 2.85, \"mapping\": \"parity\", \
+             \"rounds\": {ROUNDS}, \"terms\": {terms}, \"new_s\": {new_s:.3}, \
+             \"reference_s\": {reference_s:.3}, \"speedup\": {speedup:.2}, \
+             \"bit_identical\": true}}"
+        ),
+    );
+    println!(
+        "{GROUP}: {terms} terms, new {new_s:.3} s vs reference {reference_s:.3} s \
+         ({speedup:.2}x, median of {ROUNDS}), bit-identical"
+    );
+    assert!(speedup >= 4.0, "new builder only {speedup:.2}x the reference (gate 4x)");
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -2011,6 +2077,7 @@ criterion_group! {
               bench_windowed_vs_full_refit,
               bench_incremental_polish, bench_kt_tableau_vs_dense,
               bench_kt_engine_vs_reference, bench_kt_screened_vs_exact,
-              bench_ising_fast_path, bench_served_sliced_vs_solo
+              bench_ising_fast_path, bench_served_sliced_vs_solo,
+              bench_hamiltonian_build_cr2
 }
 criterion_main!(search);

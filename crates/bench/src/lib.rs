@@ -3,9 +3,11 @@
 //! compare against.
 
 mod reference_kt;
+mod reference_mapping;
 mod reference_search;
 
 pub use reference_kt::{reference_kt, ReferenceKtResult};
+pub use reference_mapping::{bitwise_diff, reference_qubit_hamiltonian};
 pub use reference_search::{
     reference_evaluate_batch_spawn, reference_minimize, reference_polish, reference_run_cafqa,
     ReferencePolishOutcome,

@@ -6,8 +6,12 @@
 //! the qubit counts of Table 1 come out to `2·orbitals − 2`; Jordan-Wigner
 //! is provided as the cross-validation encoding.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
 use cafqa_linalg::Complex64;
-use cafqa_pauli::{Pauli, PauliOp, PauliString};
+use cafqa_pauli::{phase_exponent, Pauli, PauliOp, PauliString};
 
 use crate::active_space::{Spin, SpinIntegrals};
 
@@ -77,18 +81,72 @@ pub fn spin_orbital(n_spatial: usize, p: usize, spin: Spin) -> usize {
     }
 }
 
+/// A Pauli sum in flat mask form: `(coefficient, x_mask, z_mask)` triples.
+type MaskTerms = Vec<(Complex64, u64, u64)>;
+
+/// Scratch accumulator keyed by `(x_mask, z_mask)`, reused across blocks
+/// (fixed hash keys, so its iteration order is the same in every run).
+type MaskMap = HashMap<(u64, u64), Complex64, BuildHasherDefault<DefaultHasher>>;
+
+fn mask_terms(op: &PauliOp) -> MaskTerms {
+    op.iter().map(|(p, c)| (*c, p.x_mask(), p.z_mask())).collect()
+}
+
+/// `out = left · right`, each product coefficient formed and merged as in
+/// [`PauliOp::mul_op`]: `c_left · c_right · i^k`.
+fn mul_into(
+    left: impl Iterator<Item = (Complex64, u64, u64)>,
+    right: impl Iterator<Item = (Complex64, u64, u64)> + Clone,
+    out: &mut MaskMap,
+) {
+    out.clear();
+    for (ca, xa, za) in left {
+        for (cb, xb, zb) in right.clone() {
+            let k = phase_exponent(xa, za, xb, zb);
+            *out.entry((xa ^ xb, za ^ zb)).or_insert(Complex64::ZERO) +=
+                ca * cb * Complex64::i_pow(k);
+        }
+    }
+}
+
 /// Builds the full (untapered) qubit Hamiltonian on `2n` qubits from
 /// active-space integrals:
 ///
 /// `H = E_core + Σ h^σ_pq a†_pσ a_qσ
 ///      + ½ Σ (pq|rs)^{στ} a†_pσ a†_rτ a_sτ a_qσ`.
+///
+/// The two-body sum runs in blocks over `(σ, τ, p, q)`: each block
+/// accumulates `½ (pq|rs) a†_rτ a_sτ` over `(r, s)` into a chunk, prunes
+/// it at `1e-14`, then multiplies by `a†_pσ` and `a_qσ`. The pair products
+/// `a†_i a_j` are computed once, and the chunk and both products reuse
+/// scratch maps.
+///
+/// **Bit-identity invariant.** The output is fixed to the last bit: a
+/// coefficient's bits depend only on the order in which its contributions
+/// arrive, and that order is set by the loop order `σ, τ, p, q, r, s`
+/// (one contribution per key per `(r, s)` to the chunk, one per key per
+/// block to `H`). Each ladder factor has two terms, so a key of either
+/// product gets at most two contributions, and IEEE addition commutes, so
+/// the scratch maps' iteration order cannot move a bit. Do not reorder
+/// the loops, merge the two ladder products, or change the skips and the
+/// pruning: any of these changes the coefficients' last bits. The bench
+/// crate's `hamiltonian_equivalence` suite pins the output against the
+/// frozen operator-algebra original.
+///
+/// # Panics
+///
+/// Panics if `2n > 64` (a [`PauliString`] holds at most 64 qubits).
 pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
     let n = si.n;
     let m = 2 * n;
     let spins = [Spin::Alpha, Spin::Beta];
-    // Cache ladder operators.
-    let lower: Vec<PauliOp> = (0..m).map(|j| lowering_op(mapping, m, j)).collect();
-    let raise: Vec<PauliOp> = (0..m).map(|j| raising_op(mapping, m, j)).collect();
+    let lower_ops: Vec<PauliOp> = (0..m).map(|j| lowering_op(mapping, m, j)).collect();
+    let raise_ops: Vec<PauliOp> = (0..m).map(|j| raising_op(mapping, m, j)).collect();
+    // pair[i·m + j] = a†_i a_j, merged but not pruned, as `mul_op` yields it.
+    let pair: Vec<MaskTerms> =
+        raise_ops.iter().flat_map(|a| lower_ops.iter().map(|b| mask_terms(&a.mul_op(b)))).collect();
+    let lower: Vec<MaskTerms> = lower_ops.iter().map(mask_terms).collect();
+    let raise: Vec<MaskTerms> = raise_ops.iter().map(mask_terms).collect();
     let mut h = PauliOp::zero(m);
     h.add_term(Complex64::from(si.core_energy), PauliString::identity(m));
     // One-body terms.
@@ -99,24 +157,22 @@ pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
                 if v.abs() < 1e-12 {
                     continue;
                 }
-                let term = raise[spin_orbital(n, p, sigma)]
-                    .mul_op(&lower[spin_orbital(n, q, sigma)])
-                    .scaled(Complex64::from(v));
-                for (ps, c) in term.iter() {
-                    h.add_term(*c, *ps);
+                let ij = spin_orbital(n, p, sigma) * m + spin_orbital(n, q, sigma);
+                for &(c, x, z) in &pair[ij] {
+                    h.add_term(c * Complex64::from(v), PauliString::from_masks(m, x, z));
                 }
             }
         }
     }
-    // Two-body terms: accumulate in a scratch op per (p, q) pair to keep
-    // the running simplification cheap.
+    // Two-body terms, one (σ, τ, p, q) block at a time.
+    let (mut chunk, mut left, mut term) =
+        (MaskMap::default(), MaskMap::default(), MaskMap::default());
     for &sigma in &spins {
         for &tau in &spins {
             for p in 0..n {
                 for q in 0..n {
-                    let ap = &raise[spin_orbital(n, p, sigma)];
-                    let aq = &lower[spin_orbital(n, q, sigma)];
-                    let mut chunk = PauliOp::zero(m);
+                    let (pi, qi) = (spin_orbital(n, p, sigma), spin_orbital(n, q, sigma));
+                    chunk.clear();
                     let mut any = false;
                     for r in 0..n {
                         for s in 0..n {
@@ -125,22 +181,29 @@ pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
                                 continue;
                             }
                             let (ri, sidx) = (spin_orbital(n, r, tau), spin_orbital(n, s, tau));
-                            if ri == spin_orbital(n, p, sigma) || sidx == spin_orbital(n, q, sigma)
-                            {
+                            if ri == pi || sidx == qi {
                                 // a†_p a†_p = 0 and a_q a_q = 0: skip terms
                                 // the algebra would cancel anyway.
                                 continue;
                             }
                             // ½ a†_pσ a†_rτ a_sτ a_qσ.
-                            let inner = raise[ri].mul_op(&lower[sidx]);
-                            chunk = &chunk + &inner.scaled(Complex64::from(0.5 * v));
+                            let half_v = Complex64::from(0.5 * v);
+                            for &(c, x, z) in &pair[ri * m + sidx] {
+                                *chunk.entry((x, z)).or_insert(Complex64::ZERO) += c * half_v;
+                            }
                             any = true;
                         }
                     }
                     if any {
-                        let term = ap.mul_op(&chunk.pruned(1e-14)).mul_op(aq);
-                        for (ps, c) in term.iter() {
-                            h.add_term(*c, *ps);
+                        let kept = chunk
+                            .iter()
+                            .filter(|(_, c)| c.norm() > 1e-14)
+                            .map(|(&(x, z), &c)| (c, x, z));
+                        mul_into(raise[pi].iter().copied(), kept, &mut left);
+                        let product = left.iter().map(|(&(x, z), &c)| (c, x, z));
+                        mul_into(product, lower[qi].iter().copied(), &mut term);
+                        for (&(x, z), &c) in &term {
+                            h.add_term(c, PauliString::from_masks(m, x, z));
                         }
                     }
                 }

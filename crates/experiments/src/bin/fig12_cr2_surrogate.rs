@@ -45,6 +45,7 @@ fn main() {
     let mut polish_timed = false;
     for bond in sweep {
         let start = std::time::Instant::now();
+        // Chemistry: integrals + SCF + active space + qubit mapping.
         let pipe = match ChemPipeline::build(kind, bond, &ScfKind::Rhf) {
             Ok(p) => p,
             Err(e) => {
@@ -55,6 +56,7 @@ fn main() {
         let (na, nb) = pipe.default_sector();
         // No exact reference: C(18,9)^2 ≈ 2.4e9 determinants.
         let problem = pipe.problem(na, nb, false).unwrap();
+        let chem_seconds = start.elapsed().as_secs_f64();
         assert_eq!(problem.n_qubits, 34, "Cr2-class register size");
         let hf = problem.hf_energy;
         let terms = problem.hamiltonian.num_terms();
@@ -133,12 +135,15 @@ fn main() {
             format!("{:.4}", result.energy - 18.0 * e_atom),
             format!("{:.4}", hf - result.energy),
             terms.to_string(),
-            format!("{:.0}s", start.elapsed().as_secs_f64()),
-            // Per-phase split: BO (warm-up + acquisition) vs polish, with
-            // the polish endgame's backward-seek profile — restores are
-            // the layer-checkpoint-stack hits that replaced full prefix
-            // rebuilds (the backward-seek win).
-            format!("bo{:.1}s/pol{:.1}s", result.bo_seconds, result.polish_seconds),
+            format!("{:.1}s", start.elapsed().as_secs_f64()),
+            // Per-phase split: chemistry, BO (warm-up + acquisition) and
+            // polish, with the polish endgame's backward-seek profile —
+            // restores are the layer-checkpoint-stack hits that replaced
+            // full prefix rebuilds (the backward-seek win).
+            format!(
+                "chem{chem_seconds:.1}s/bo{:.1}s/pol{:.1}s",
+                result.bo_seconds, result.polish_seconds
+            ),
             format!(
                 "{}ev {}bk/{}rst",
                 result.polish_evaluations, result.polish_seek_stats.0, result.polish_seek_stats.1

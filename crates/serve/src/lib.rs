@@ -40,7 +40,9 @@
 //! coefficients or penalty settings reject with [`ServeError::NonFinite`].
 //! Each slice runs under `catch_unwind`: a panic (an internal bug) fails
 //! only its own job, surfacing through [`CafqaServer::wait`] as
-//! [`ServeError::JobFailed`], while the scheduler keeps serving.
+//! [`ServeError::JobFailed`], while the scheduler keeps serving. A panic
+//! that poisons the server's state lock is recovered from too, and
+//! [`CafqaServer::wait_timeout`] bounds how long a caller blocks.
 //!
 //! ```
 //! use cafqa_circuit::EfficientSu2;

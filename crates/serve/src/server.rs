@@ -6,8 +6,9 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use cafqa_core::fingerprint::{coefficient_vector, family_fingerprint, job_fingerprint};
 use cafqa_core::{CafqaJob, CafqaResult, CliffordObjective, ExecEngine};
@@ -158,6 +159,22 @@ struct Shared {
     done: Condvar,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ServerState> {
+        recover(self.state.lock())
+    }
+}
+
+/// Takes the guard out of a lock or condvar-wait result, poisoned or not.
+/// A thread that panics while holding the state lock poisons it. Locked
+/// sections check their invariants (`expect`) before they write, so a
+/// panic leaves no half-updated job entry, and recovering keeps that one
+/// panic from failing every later `submit`, `wait` and `stats` call, and
+/// the scheduler with them.
+fn recover<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A long-running CAFQA job server over one shared engine. See the
 /// crate docs for the serving model; construction starts the scheduler
 /// thread, [`CafqaServer::shutdown`] (or drop) stops it after draining
@@ -202,7 +219,7 @@ impl CafqaServer {
     /// round-robin queue, possibly warm-started from the nearest cached
     /// same-family completion.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        let mut state = self.shared.state.lock().expect("server state poisoned");
+        let mut state = self.shared.lock();
         if state.shutdown {
             state.stats.rejected += 1;
             return Err(ServeError::ShuttingDown);
@@ -285,14 +302,33 @@ impl CafqaServer {
 
     /// The job's current lifecycle status.
     pub fn status(&self, id: JobId) -> Result<JobStatus, ServeError> {
-        let state = self.shared.state.lock().expect("server state poisoned");
+        let state = self.shared.lock();
         state.jobs.get(&id.0).map(|e| e.status).ok_or(ServeError::UnknownJob(id))
     }
 
     /// Blocks until the job reaches a terminal status and returns its
     /// outcome (or the structured failure).
     pub fn wait(&self, id: JobId) -> Result<JobOutcome, ServeError> {
-        let mut state = self.shared.state.lock().expect("server state poisoned");
+        self.wait_until(id, None).map(|outcome| outcome.expect("waits without a deadline finish"))
+    }
+
+    /// [`Self::wait`] for at most `timeout`: `Ok(None)` if the job is
+    /// still queued, running or suspended when the time runs out.
+    pub fn wait_timeout(
+        &self,
+        id: JobId,
+        timeout: Duration,
+    ) -> Result<Option<JobOutcome>, ServeError> {
+        // A timeout too long for an `Instant` waits without a deadline.
+        self.wait_until(id, Instant::now().checked_add(timeout))
+    }
+
+    fn wait_until(
+        &self,
+        id: JobId,
+        deadline: Option<Instant>,
+    ) -> Result<Option<JobOutcome>, ServeError> {
+        let mut state = self.shared.lock();
         loop {
             let Some(entry) = state.jobs.get(&id.0) else {
                 return Err(ServeError::UnknownJob(id));
@@ -300,7 +336,7 @@ impl CafqaServer {
             match entry.status {
                 JobStatus::Completed => {
                     let finished = entry.finished.as_ref().expect("completed jobs carry a result");
-                    return Ok(finished.outcome(id));
+                    return Ok(Some(finished.outcome(id)));
                 }
                 JobStatus::Cancelled => return Err(ServeError::Cancelled(id)),
                 JobStatus::Failed => {
@@ -309,8 +345,18 @@ impl CafqaServer {
                         message: entry.error.clone().unwrap_or_default(),
                     });
                 }
-                _ => state = self.shared.done.wait(state).expect("server state poisoned"),
+                _ => {}
             }
+            state = match deadline {
+                None => recover(self.shared.done.wait(state)),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Ok(None);
+                    }
+                    recover(self.shared.done.wait_timeout(state, left)).0
+                }
+            };
         }
     }
 
@@ -319,7 +365,7 @@ impl CafqaServer {
     /// Returns whether the request landed on a live job (`false` once
     /// terminal).
     pub fn cancel(&self, id: JobId) -> Result<bool, ServeError> {
-        let state = self.shared.state.lock().expect("server state poisoned");
+        let state = self.shared.lock();
         let Some(entry) = state.jobs.get(&id.0) else {
             return Err(ServeError::UnknownJob(id));
         };
@@ -334,12 +380,12 @@ impl CafqaServer {
 
     /// A snapshot of the lifetime statistics.
     pub fn stats(&self) -> ServerStats {
-        self.shared.state.lock().expect("server state poisoned").stats
+        self.shared.lock().stats
     }
 
     /// Number of cached completions currently held.
     pub fn cached_results(&self) -> usize {
-        self.shared.state.lock().expect("server state poisoned").cache.len()
+        self.shared.lock().cache.len()
     }
 
     /// Stops admissions, drains every in-flight job (cancelled jobs
@@ -347,7 +393,7 @@ impl CafqaServer {
     /// Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("server state poisoned");
+            let mut state = self.shared.lock();
             state.shutdown = true;
         }
         self.shared.wake.notify_all();
@@ -413,7 +459,7 @@ fn scheduler_loop(shared: &Shared) {
     loop {
         // Claim the next runnable job.
         let claimed = {
-            let mut state = shared.state.lock().expect("server state poisoned");
+            let mut state = shared.lock();
             loop {
                 if let Some(id) = state.queue.pop_front() {
                     break Some(id);
@@ -421,13 +467,13 @@ fn scheduler_loop(shared: &Shared) {
                 if state.shutdown {
                     break None;
                 }
-                state = shared.wake.wait(state).expect("server state poisoned");
+                state = recover(shared.wake.wait(state));
             }
         };
         let Some(id) = claimed else { return };
         // Take what the slice needs, mark Running.
         let (spec, job, cancel) = {
-            let mut state = shared.state.lock().expect("server state poisoned");
+            let mut state = shared.lock();
             let entry = state.jobs.get_mut(&id).expect("queued jobs exist");
             if entry.cancel.load(Ordering::Relaxed) {
                 entry.status = JobStatus::Cancelled;
@@ -438,9 +484,10 @@ fn scheduler_loop(shared: &Shared) {
                 shared.done.notify_all();
                 continue;
             }
-            entry.status = JobStatus::Running;
             let live = entry.live.as_mut().expect("queued jobs are live");
-            (Arc::clone(&live.spec), live.job.take(), Arc::clone(&entry.cancel))
+            let claimed = (Arc::clone(&live.spec), live.job.take(), Arc::clone(&entry.cancel));
+            entry.status = JobStatus::Running;
+            claimed
         };
         // Run one slice on the engine, lock released. The spec was
         // validated at admission; a panic anyway (an internal bug) fails
@@ -451,12 +498,11 @@ fn scheduler_loop(shared: &Shared) {
         }))
         .unwrap_or_else(|payload| SliceOutcome::Failed(panic_message(payload)));
         // Publish the slice result.
-        let mut state = shared.state.lock().expect("server state poisoned");
+        let mut state = shared.lock();
         state.stats.slices += 1;
         match outcome {
             SliceOutcome::Completed(result) => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Completed;
                 let live = entry.live.take().expect("running jobs are live");
                 let result = Arc::new(result);
                 entry.finished = Some(Finished {
@@ -464,6 +510,7 @@ fn scheduler_loop(shared: &Shared) {
                     disposition: live.disposition,
                     seeds_used: live.spec.seeds.clone(),
                 });
+                entry.status = JobStatus::Completed;
                 let record = CacheRecord {
                     keys: if live.fingerprint_submitted == live.fingerprint_effective {
                         vec![live.fingerprint_submitted]
@@ -487,8 +534,8 @@ fn scheduler_loop(shared: &Shared) {
             }
             SliceOutcome::Suspended(job) => {
                 let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Suspended;
                 entry.live.as_mut().expect("running jobs are live").job = Some(job);
+                entry.status = JobStatus::Suspended;
                 state.queue.push_back(id);
             }
             SliceOutcome::Cancelled => {
@@ -527,12 +574,26 @@ mod tests {
     /// first slice.
     pub(super) const PANIC_SEED: u64 = 0xDEAD_5EED;
 
-    #[test]
-    fn a_panicking_slice_fails_its_job_and_the_next_job_still_completes() {
+    fn three_qubit_job() -> (EfficientSu2, PauliOp, CafqaOptions) {
         let h: PauliOp = "0.5*XXI + 0.25*ZZI - 0.1*YIZ + 0.7*IZZ".parse().unwrap();
         let opts =
             CafqaOptions { warmup: 12, iterations: 16, polish_sweeps: 1, ..Default::default() };
-        let ansatz = EfficientSu2::new(3, 1);
+        (EfficientSu2::new(3, 1), h, opts)
+    }
+
+    fn assert_matches_solo(served: &CafqaResult, solo: &CafqaResult) {
+        assert_eq!(served.best_config, solo.best_config);
+        assert_eq!(served.trace.len(), solo.trace.len());
+        for (a, b) in served.trace.iter().zip(&solo.trace) {
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+            assert_eq!(a.penalized.to_bits(), b.penalized.to_bits());
+        }
+        assert_eq!(served.iterations_to_best, solo.iterations_to_best);
+    }
+
+    #[test]
+    fn a_panicking_slice_fails_its_job_and_the_next_job_still_completes() {
+        let (ansatz, h, opts) = three_qubit_job();
         let engine = ExecEngine::new(2);
         let serve_opts = ServeOptions { slice_batches: 1, warm_start: false, ..Default::default() };
         let mut server = CafqaServer::start(engine.clone(), serve_opts);
@@ -553,15 +614,56 @@ mod tests {
         assert_eq!(server.status(bad).unwrap(), JobStatus::Failed);
         let served = server.wait(good).unwrap();
         let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
-        assert_eq!(served.result.best_config, solo.best_config);
-        assert_eq!(served.result.trace.len(), solo.trace.len());
-        for (a, b) in served.result.trace.iter().zip(&solo.trace) {
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-            assert_eq!(a.penalized.to_bits(), b.penalized.to_bits());
-        }
-        assert_eq!(served.result.iterations_to_best, solo.iterations_to_best);
+        assert_matches_solo(&served.result, &solo);
         let stats = server.stats();
         assert_eq!((stats.failed, stats.completed), (1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_is_recovered() {
+        let (ansatz, h, opts) = three_qubit_job();
+        let engine = ExecEngine::new(2);
+        let serve_opts = ServeOptions { warm_start: false, ..Default::default() };
+        let mut server = CafqaServer::start(engine.clone(), serve_opts);
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _state = shared.lock();
+            panic!("poisoning the server state");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.state.is_poisoned());
+        let id = server.submit(JobSpec::new(ansatz.clone(), h.clone(), opts.clone())).unwrap();
+        let served = server.wait(id).unwrap();
+        let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
+        assert_matches_solo(&served.result, &solo);
+        let stats = server.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 1, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn wait_timeout_returns_none_while_a_job_is_queued() {
+        let (ansatz, h, opts) = three_qubit_job();
+        let engine = ExecEngine::new(2);
+        // One slice runs a whole job, so a long job ahead keeps the
+        // scheduler busy until it is cancelled.
+        let serve_opts =
+            ServeOptions { slice_batches: usize::MAX, warm_start: false, ..Default::default() };
+        let mut server = CafqaServer::start(engine.clone(), serve_opts);
+        let long_opts = CafqaOptions { iterations: 1_000_000, seed: 7, ..opts.clone() };
+        let long = server.submit(JobSpec::new(ansatz.clone(), h.clone(), long_opts)).unwrap();
+        let queued = server.submit(JobSpec::new(ansatz.clone(), h.clone(), opts.clone())).unwrap();
+        assert!(server.wait_timeout(queued, Duration::from_millis(20)).unwrap().is_none());
+        assert_eq!(server.status(queued).unwrap(), JobStatus::Queued);
+        assert!(server.cancel(long).unwrap());
+        assert!(matches!(server.wait(long), Err(ServeError::Cancelled(id)) if id == long));
+        // `Duration::MAX` overflows an `Instant`: it waits like `wait`.
+        let served = server.wait_timeout(queued, Duration::MAX).unwrap();
+        let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
+        assert_matches_solo(&served.expect("the job completes").result, &solo);
+        // A terminal job answers at once, even with no time left.
+        assert!(server.wait_timeout(queued, Duration::ZERO).unwrap().is_some());
         server.shutdown();
     }
 }
