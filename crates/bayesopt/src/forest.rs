@@ -8,7 +8,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::exec::{map_jobs, Executor};
-use crate::tree::{RegressionTree, TreeOptions};
+use crate::tree::{GrowScratch, RegressionTree, TrainingSet, TreeOptions};
 
 /// Random-forest options.
 #[derive(Debug, Clone)]
@@ -25,9 +25,10 @@ pub struct ForestOptions {
     /// so the surrogate never forgets the best point found. `0` (the
     /// default) fits on the full history.
     ///
-    /// This is what makes refit cost `O(window·log window)` instead of
-    /// growing with the evaluation count (the pacing item of Cr2-scale
-    /// searches). Index selection is pure — it draws nothing from the
+    /// This is what bounds the refit cost by the window size instead of
+    /// letting it grow with the evaluation count (the pacing item of
+    /// Cr2-scale searches); see [`RandomForest::fit`] for the cost.
+    /// Index selection is pure — it draws nothing from the
     /// RNG — so `window == 0` *and* any `window >= ys.len()` reproduce
     /// the classic full-history fit bit-for-bit on the same RNG stream;
     /// see the determinism notes on
@@ -88,8 +89,15 @@ impl RandomForest {
     /// [`ForestOptions::window`]: the whole history when `window` is `0`
     /// (or at least `ys.len()`), otherwise the most recent `window`
     /// samples plus the incumbent. Bootstrap resampling draws only from
-    /// the selected indices, so the fit costs `O(n_trees · w log w)` in
-    /// the window size `w`, not in the history length.
+    /// the selected indices, so the fit costs `O(n_trees · k · w · depth)`
+    /// in the window size `w`, not in the history length: every tree
+    /// level scans its `w` bootstrap samples once per sampled feature,
+    /// `k = √d + 1` of them per node by default.
+    ///
+    /// The selected rows are copied once into a column-major training
+    /// set shared by all trees and dropped when the fit returns (the
+    /// growth kernel and its bit-identity invariant are documented in
+    /// `tree.rs`).
     ///
     /// # Panics
     ///
@@ -103,9 +111,6 @@ impl RandomForest {
     ) -> Self {
         assert!(!xs.is_empty(), "cannot fit a forest on no samples");
         assert_eq!(xs.len(), ys.len());
-        // `selected[j] == j` in the full-history case, so the bootstrap
-        // below draws the same values from the same RNG stream as the
-        // pre-window implementation — bit-for-bit the classic fit.
         let selected = window_indices(ys, opts.window);
         let m = selected.len();
         let boot = if opts.bootstrap == 0 { m } else { opts.bootstrap.min(m) };
@@ -116,10 +121,17 @@ impl RandomForest {
             opts.feature_subsample
         };
         let tree_opts = TreeOptions { feature_subsample, ..opts.tree.clone() };
+        // Row `j` of the training set is `selected[j]`, so a bootstrap
+        // draw of `j` picks the same sample, from the same RNG stream, as
+        // drawing `selected[j]` from the history.
+        let data = TrainingSet::new(xs, ys, &selected, cardinalities);
+        let mut scratch = GrowScratch::new(cardinalities);
+        let mut idx = Vec::with_capacity(boot);
         let trees = (0..opts.n_trees)
             .map(|_| {
-                let idx: Vec<usize> = (0..boot).map(|_| selected[rng.gen_range(0..m)]).collect();
-                RegressionTree::fit(xs, ys, &idx, cardinalities, &tree_opts, rng)
+                idx.clear();
+                idx.extend((0..boot).map(|_| rng.gen_range(0..m)));
+                RegressionTree::fit_on(&data, &mut idx, &mut scratch, &tree_opts, rng)
             })
             .collect();
         RandomForest { trees }

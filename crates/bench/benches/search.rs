@@ -14,8 +14,9 @@
 //! CAFQA+kT search (branch-engine stack vs the frozen dense/serial
 //! rejection-sampling loop), the Ising fast path (structure-routed
 //! reduced-space solve vs the full BO pipeline, in instances/second),
-//! a job sliced by the job server vs the same job run solo, and the
+//! a job sliced by the job server vs the same job run solo, the
 //! 34-qubit Cr2 Hamiltonian builder vs its frozen operator-algebra
+//! original, and the H2O-scale surrogate refit vs its frozen row-major
 //! original.
 //!
 //! The engine and BO A/Bs additionally time themselves with raw
@@ -26,10 +27,11 @@
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, SearchSpace};
+use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace};
 use cafqa_bench::{
-    bitwise_diff, reference_evaluate_batch_spawn, reference_expectation_pauli, reference_kt,
-    reference_polish, reference_qubit_hamiltonian, ReferenceGenerators,
+    bitwise_diff, reference_evaluate_batch_spawn, reference_expectation_pauli,
+    reference_forest_fit, reference_kt, reference_polish, reference_qubit_hamiltonian,
+    ReferenceGenerators,
 };
 use cafqa_chem::mapping::Mapping;
 use cafqa_chem::{qubit_hamiltonian, ChemPipeline, MoleculeKind, ScfKind};
@@ -46,6 +48,8 @@ use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
 use cafqa_serve::{CafqaServer, JobSpec, ServeOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::hint::black_box;
 
 /// Mirrors the harness's substring filter (`cargo bench -- <filter>`):
@@ -2059,6 +2063,102 @@ fn bench_hamiltonian_build_cr2(_: &mut Criterion) {
     assert!(speedup >= 4.0, "new builder only {speedup:.2}x the reference (gate 4x)");
 }
 
+/// The surrogate-refit A/B at H2O scale: `RandomForest::fit`
+/// (column-major features, reused buckets, in-place stable partitions)
+/// vs the frozen row-major `reference_forest_fit`, both with the default
+/// 24-tree options, on a 1000-sample history of 48 four-valued
+/// parameters (H2O's register at the end of its BO budget).
+///
+/// Rounds alternate the two fits so host-speed drift hits both alike;
+/// the first round warms up and is not timed. Every round asserts
+/// `to_bits`-equal predictions on a probe pool and the same RNG state
+/// after the fit. The gate requires a median speedup ≥ 1.5×; the numbers
+/// land in `BENCH_search.json`.
+fn bench_forest_fit_h2o(_: &mut Criterion) {
+    const GROUP: &str = "forest_fit_h2o_48dim_1000";
+    const ROUNDS: usize = 9;
+    const FITS_PER_ROUND: u64 = 4;
+    if !filter_matches(GROUP) {
+        return;
+    }
+    let (n, d) = (1000, 48);
+    let mut rng = StdRng::seed_from_u64(0x48D1);
+    let xs: Vec<Vec<usize>> =
+        (0..n).map(|_| (0..d).map(|_| rng.gen_range(0..4usize)).collect()).collect();
+    // An energy-like landscape: a per-parameter preferred angle plus a
+    // pair coupling, quantized so that exact ties occur.
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| {
+            let field: f64 = x.iter().enumerate().map(|(i, &k)| f64::from(k == i % 4)).sum();
+            let coupling: f64 = x.windows(2).map(|w| f64::from(w[0] == w[1])).sum();
+            -75.0 - 0.25 * field + 0.125 * coupling
+        })
+        .collect();
+    let probes: Vec<Vec<usize>> =
+        (0..256).map(|_| (0..d).map(|_| rng.gen_range(0..4usize)).collect()).collect();
+    let cards = vec![4usize; d];
+    let opts = ForestOptions::default();
+    let (mut new_s, mut reference_s) = (Vec::new(), Vec::new());
+    for round in 0..=ROUNDS {
+        let seed = 0xF0 + round as u64;
+        let t = Instant::now();
+        let mut fits = Vec::new();
+        for fit in 0..FITS_PER_ROUND {
+            let mut rng = StdRng::seed_from_u64(seed + 1000 * fit);
+            let forest = RandomForest::fit(&xs, &ys, &cards, &opts, &mut rng);
+            fits.push((forest, rng.next_u64()));
+        }
+        let fit_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let mut references = Vec::new();
+        for fit in 0..FITS_PER_ROUND {
+            let mut rng = StdRng::seed_from_u64(seed + 1000 * fit);
+            let forest = reference_forest_fit(&xs, &ys, &cards, &opts, &mut rng);
+            references.push((forest, rng.next_u64()));
+        }
+        let ref_s = t.elapsed().as_secs_f64();
+        for ((forest, next), (reference, reference_next)) in fits.iter().zip(&references) {
+            assert_eq!(next, reference_next, "round {round}: RNG state diverged after the fit");
+            for probe in &probes {
+                assert_eq!(
+                    forest.predict(probe).to_bits(),
+                    reference.predict(probe).to_bits(),
+                    "round {round}: prediction differs at {probe:?}"
+                );
+            }
+        }
+        if round > 0 {
+            new_s.push(fit_s / FITS_PER_ROUND as f64);
+            reference_s.push(ref_s / FITS_PER_ROUND as f64);
+        }
+    }
+    let median = |values: &mut Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
+    let (new_s, reference_s) = (median(&mut new_s), median(&mut reference_s));
+    let speedup = reference_s / new_s;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    record_bench_json(
+        GROUP,
+        format!(
+            "{{\"host_cores\": {host_cores}, \"samples\": {n}, \"dims\": {d}, \"cardinality\": 4, \
+             \"n_trees\": {}, \"rounds\": {ROUNDS}, \"new_s\": {new_s:.5}, \
+             \"reference_s\": {reference_s:.5}, \"speedup\": {speedup:.2}, \
+             \"bit_identical\": true}}",
+            opts.n_trees
+        ),
+    );
+    println!(
+        "{GROUP}: new {:.2} ms vs reference {:.2} ms per fit ({speedup:.2}x, median of {ROUNDS}), \
+         bit-identical",
+        new_s * 1e3,
+        reference_s * 1e3
+    );
+    assert!(speedup >= 1.5, "new fit only {speedup:.2}x the reference (gate 1.5x)");
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -2078,6 +2178,6 @@ criterion_group! {
               bench_incremental_polish, bench_kt_tableau_vs_dense,
               bench_kt_engine_vs_reference, bench_kt_screened_vs_exact,
               bench_ising_fast_path, bench_served_sliced_vs_solo,
-              bench_hamiltonian_build_cr2
+              bench_hamiltonian_build_cr2, bench_forest_fit_h2o
 }
 criterion_main!(search);

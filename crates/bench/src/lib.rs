@@ -2,10 +2,12 @@
 //! kernels and search loops the A/B benchmarks and equivalence tests
 //! compare against.
 
+mod reference_forest;
 mod reference_kt;
 mod reference_mapping;
 mod reference_search;
 
+pub use reference_forest::{reference_forest_fit, ReferenceForest};
 pub use reference_kt::{reference_kt, ReferenceKtResult};
 pub use reference_mapping::{bitwise_diff, reference_qubit_hamiltonian};
 pub use reference_search::{

@@ -11,14 +11,16 @@
 //! genuine pre-refactor semantics to compare against, no matter how the
 //! production code evolves.
 //!
-//! Everything here goes through the *public* API of the production
-//! crates (`evaluate`, `RandomForest::fit`/`predict_batch`), relying on
-//! the already-tested invariant that batched evaluation equals serial
-//! evaluation bit-for-bit.
+//! The surrogate is the frozen [`reference_forest_fit`], so the search
+//! equivalence tests pin the production forest against the original one
+//! end to end. Everything else goes through the *public* API of the
+//! production crates (`evaluate`), relying on the already-tested
+//! invariant that batched evaluation equals serial evaluation
+//! bit-for-bit.
 
 use std::collections::HashSet;
 
-use cafqa_bayesopt::{BoOptions, BoResult, Evaluation, RandomForest};
+use cafqa_bayesopt::{BoOptions, BoResult, Evaluation};
 use cafqa_circuit::Ansatz;
 use cafqa_core::{
     CafqaOptions, CafqaResult, CliffordObjective, ObjectiveValue, Penalty, SearchPoint,
@@ -26,6 +28,8 @@ use cafqa_core::{
 use cafqa_pauli::PauliOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::reference_forest::{reference_forest_fit, ReferenceForest};
 
 /// Frozen copy of the classic uniform sample over a discrete space
 /// (identical RNG draw order to `SearchSpace::sample`).
@@ -96,13 +100,14 @@ pub fn reference_minimize(
         evaluate!(c);
     }
 
-    let mut forest: Option<RandomForest> = None;
+    let mut forest: Option<ReferenceForest> = None;
     for it in 0..opts.iterations {
         let pick = if xs.is_empty() {
             sample(cardinalities, &mut rng)
         } else {
             if forest.is_none() || it % opts.refit_every.max(1) == 0 {
-                forest = Some(RandomForest::fit(&xs, &ys, cardinalities, &opts.forest, &mut rng));
+                forest =
+                    Some(reference_forest_fit(&xs, &ys, cardinalities, &opts.forest, &mut rng));
             }
             let model = forest.as_ref().expect("fitted above");
             let mut pool: Vec<Vec<usize>> = Vec::with_capacity(opts.candidates);
