@@ -16,8 +16,9 @@
 //! reduced-space solve vs the full BO pipeline, in instances/second),
 //! a job sliced by the job server vs the same job run solo, the
 //! 34-qubit Cr2 Hamiltonian builder vs its frozen operator-algebra
-//! original, and the H2O-scale surrogate refit vs its frozen row-major
-//! original.
+//! original, the H2O-scale surrogate refit vs its frozen row-major
+//! original, and the bit-sliced Hamiltonian sum vs the row-wise
+//! per-term sum on H6 and Cr2 polish neighbours.
 //!
 //! The engine and BO A/Bs additionally time themselves with raw
 //! `Instant` measurements (independent of the harness sampling), assert
@@ -35,14 +36,14 @@ use cafqa_bench::{
 };
 use cafqa_chem::mapping::Mapping;
 use cafqa_chem::{qubit_hamiltonian, ChemPipeline, MoleculeKind, ScfKind};
-use cafqa_circuit::{Ansatz, EfficientSu2};
-use cafqa_clifford::{BranchEnsemble, CliffordTState, Tableau};
+use cafqa_circuit::{Ansatz, CompiledAnsatz, EfficientSu2};
+use cafqa_clifford::{BranchEnsemble, CliffordTState, SlicedTerms, Tableau};
 use cafqa_core::exhaustive::{exhaustive_search_serial, exhaustive_search_with_workers};
 use cafqa_core::maxcut::{maxcut_hamiltonian, Graph};
 use cafqa_core::{
     classify_ising, kt_session, polish_on, run_cafqa_kt_on, run_cafqa_on, solve_ising_batch_on,
     widen_clifford_config, CafqaOptions, CafqaResult, CliffordObjective, ExecEngine, IsingFastPath,
-    IsingInstance, KtPolishSession,
+    IsingInstance, KtPolishSession, MolecularCafqa,
 };
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
@@ -2159,6 +2160,118 @@ fn bench_forest_fit_h2o(_: &mut Criterion) {
     assert!(speedup >= 1.5, "new fit only {speedup:.2}x the reference (gate 1.5x)");
 }
 
+/// The Hamiltonian-sum A/B on polish-neighbour tableaus: the bit-sliced
+/// `Tableau::expectation_sum` (64 terms screened per stabilizer pass,
+/// survivors folded in term order) vs the row-wise sum it replaced (one
+/// `expectation_pauli` per term over a `(PauliString, f64)` list,
+/// folded by `Iterator::sum`), for H6 at 1.5 Å (10 qubits) and the Cr2
+/// surrogate at 3.8 Å (34 qubits).
+///
+/// The tableaus are the HF configuration with one or two rotation slots
+/// changed, the states a polish sweep evaluates. Rounds alternate the two
+/// sums so host-speed drift hits both alike; the first round warms up
+/// and is not timed. Every round asserts `to_bits`-equal sums on every
+/// tableau. The gates require a median speedup ≥ 1.8× at H6 scale and
+/// ≥ 3× at Cr2 scale; the numbers land in `BENCH_search.json`.
+fn bench_sliced_vs_rowwise_sum(_: &mut Criterion) {
+    const GROUP: &str = "sliced_vs_rowwise_sum";
+    const ROUNDS: usize = 7;
+    const NEIGHBOURS: usize = 32;
+    if !filter_matches(GROUP) {
+        return;
+    }
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cases = [
+        (MoleculeKind::H6, 1.5, "h6_1.5A", 1.8, 40),
+        (MoleculeKind::Cr2Surrogate, 3.8, "cr2_3.8A", 3.0, 1),
+    ];
+    for (kind, bond, label, gate, passes) in cases {
+        let pipe = ChemPipeline::build(kind, bond, &ScfKind::Rhf).expect("catalog chemistry");
+        let (na, nb) = pipe.default_sector();
+        let runner = MolecularCafqa::new(pipe.problem(na, nb, false).expect("catalog problem"));
+        let hamiltonian = &runner.problem().hamiltonian;
+        let template = CompiledAnsatz::compile(&runner.ansatz).expect("EfficientSU2 compiles");
+        let hf = runner.hf_config();
+        let mut rng = StdRng::seed_from_u64(0x511CE);
+        let tableaus: Vec<Tableau> = (0..NEIGHBOURS)
+            .map(|k| {
+                let mut config = hf.clone();
+                for _ in 0..1 + k % 2 {
+                    let slot = rng.gen_range(0..config.len());
+                    config[slot] = (config[slot] + rng.gen_range(1..4usize)) % 4;
+                }
+                let mut t = Tableau::zero_state(hamiltonian.num_qubits());
+                t.run_compiled(&template, &config);
+                t
+            })
+            .collect();
+        let rows: Vec<(PauliString, f64)> = hamiltonian.iter().map(|(p, c)| (*p, c.re)).collect();
+        let sliced = SlicedTerms::from_op(hamiltonian);
+        let survivors = tableaus
+            .iter()
+            .map(|t| rows.iter().filter(|(p, _)| t.expectation_pauli(p) != 0).count())
+            .sum::<usize>() as f64
+            / (NEIGHBOURS * rows.len()) as f64;
+        let rowwise = |t: &Tableau| -> f64 {
+            rows.iter().map(|(p, c)| c * f64::from(t.expectation_pauli(p))).sum()
+        };
+        let time = |sum: &dyn Fn(&Tableau) -> f64| {
+            let start = Instant::now();
+            let mut out = Vec::with_capacity(NEIGHBOURS);
+            for _ in 0..passes {
+                out.clear();
+                out.extend(tableaus.iter().map(|t| black_box(sum(black_box(t)))));
+            }
+            (out, start.elapsed().as_secs_f64() / (passes * NEIGHBOURS) as f64)
+        };
+        let (mut sliced_s, mut rowwise_s) = (Vec::new(), Vec::new());
+        for round in 0..=ROUNDS {
+            let (fast, fast_s) = time(&|t| t.expectation_sum(&sliced, 0..sliced.len()));
+            let (slow, slow_s) = time(&rowwise);
+            for (k, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label} round {round} tableau {k}: {a} vs {b}"
+                );
+            }
+            if round > 0 {
+                sliced_s.push(fast_s);
+                rowwise_s.push(slow_s);
+            }
+        }
+        let median = |values: &mut Vec<f64>| {
+            values.sort_by(f64::total_cmp);
+            values[values.len() / 2]
+        };
+        let (sliced_s, rowwise_s) = (median(&mut sliced_s), median(&mut rowwise_s));
+        let speedup = rowwise_s / sliced_s;
+        record_bench_json(
+            &format!("{GROUP}_{label}"),
+            format!(
+                "{{\"host_cores\": {host_cores}, \"qubits\": {}, \"terms\": {}, \
+                 \"neighbours\": {NEIGHBOURS}, \"rounds\": {ROUNDS}, \
+                 \"survivor_frac\": {survivors:.4}, \"sliced_us\": {:.2}, \
+                 \"rowwise_us\": {:.2}, \"speedup\": {speedup:.2}, \"gate\": {gate}, \
+                 \"bit_identical\": true}}",
+                hamiltonian.num_qubits(),
+                rows.len(),
+                sliced_s * 1e6,
+                rowwise_s * 1e6
+            ),
+        );
+        println!(
+            "{GROUP} {label}: {} terms, {:.1}% survive; sliced {:.2} us vs row-wise {:.2} us \
+             per sum ({speedup:.2}x, median of {ROUNDS}), bit-identical",
+            rows.len(),
+            100.0 * survivors,
+            sliced_s * 1e6,
+            rowwise_s * 1e6
+        );
+        assert!(speedup >= gate, "{label}: sliced sum only {speedup:.2}x row-wise (gate {gate}x)");
+    }
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -2178,6 +2291,7 @@ criterion_group! {
               bench_incremental_polish, bench_kt_tableau_vs_dense,
               bench_kt_engine_vs_reference, bench_kt_screened_vs_exact,
               bench_ising_fast_path, bench_served_sliced_vs_solo,
-              bench_hamiltonian_build_cr2, bench_forest_fit_h2o
+              bench_hamiltonian_build_cr2, bench_forest_fit_h2o,
+              bench_sliced_vs_rowwise_sum
 }
 criterion_main!(search);

@@ -4,7 +4,9 @@
 //!
 //! - [`Tableau`] — Aaronson–Gottesman stabilizer simulation with exact
 //!   `{+1, 0, −1}` Pauli expectations (paper §2.3/§3). This evaluates every
-//!   candidate in the CAFQA discrete search in polynomial time.
+//!   candidate in the CAFQA discrete search in polynomial time; whole
+//!   Hamiltonians are summed from a bit-sliced [`SlicedTerms`] layout,
+//!   64 terms per stabilizer pass.
 //! - [`CliffordTState`] / [`BranchDecomposition`] — the beyond-Clifford
 //!   extension (paper §8): circuits with `t` non-Clifford rotations expand
 //!   into `2^t` Clifford branches via `R_P(θ) = cos(θ/2)·I − i·sin(θ/2)·P`,
@@ -35,10 +37,12 @@
 
 mod clifford_t;
 mod ensemble;
+mod sliced;
 mod tableau;
 
 pub use clifford_t::{BranchDecomposition, CliffordTError, CliffordTState, MAX_BRANCH_GATES};
 pub use ensemble::{BranchEnsemble, BranchFrames, ScreenedSum};
+pub use sliced::SlicedTerms;
 pub use tableau::{NonCliffordError, Tableau};
 
 #[cfg(test)]

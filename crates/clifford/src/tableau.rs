@@ -7,9 +7,12 @@
 //! paper's largest system is 34).
 
 use std::fmt;
+use std::ops::Range;
 
 use cafqa_circuit::{Circuit, CliffordAngle, CompiledAnsatz, Gate, RotationAxis, TemplateOp};
 use cafqa_pauli::{phase_exponent, PauliOp, PauliString};
+
+use crate::sliced::{SlicedTerms, LANES};
 
 /// Error returned when a circuit contains non-Clifford gates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -446,9 +449,11 @@ impl Tableau {
     /// Mask-level [`Self::expectation_pauli`]: the expectation of the
     /// unsigned Pauli `P(px, pz)` from raw bit masks.
     ///
-    /// This is the hot kernel of the CAFQA search — pure bitwise phase
-    /// accumulation over the `(x, z, sign)` row words, with no intermediate
-    /// `PauliString` values (see [`cafqa_pauli::phase_exponent`]).
+    /// The single-term kernel: pure bitwise phase accumulation over the
+    /// `(x, z, sign)` row words, with no intermediate `PauliString`
+    /// values (see [`cafqa_pauli::phase_exponent`]). Whole Hamiltonians
+    /// go through [`Self::expectation_sum`], which screens 64 terms per
+    /// stabilizer pass and shares this kernel's phase fold.
     ///
     /// The row loops are *lane-blocked*: [`LANE_BLOCK`] rows are folded per
     /// iteration with branchless single-popcount parities
@@ -473,8 +478,7 @@ impl Tableau {
         );
         // 1 when the row anticommutes with P(px, pz), else 0.
         let parity = |r: &Row| ((r.x & pz) ^ (r.z & px)).count_ones() & 1;
-        // Zipped contiguous slices keep the loops free of bounds checks.
-        let (destab, stab) = self.rows.split_at(self.n);
+        let stab = &self.rows[self.n..];
         // Any anticommuting stabilizer ⇒ expectation 0. OR-fold the block
         // parities so each block costs one branch, not LANE_BLOCK.
         let mut blocks = stab.chunks_exact(LANE_BLOCK);
@@ -486,7 +490,17 @@ impl Tableau {
         if blocks.remainder().iter().fold(0, |acc, r| acc | parity(r)) != 0 {
             return 0;
         }
-        // P = ± Π_{i ∈ I} S_i where I = { i : P anticommutes with D_i }.
+        self.stabilizer_sign(px, pz)
+    }
+
+    /// The sign of a Pauli `P(px, pz)` that commutes with every
+    /// stabilizer, as `±1`: the sign of `P` in its decomposition
+    /// `P = ± Π_{i ∈ I} S_i`, where `I = { i : P anticommutes with D_i }`.
+    /// The phase fold behind both [`Self::expectation_masks`] and
+    /// [`Self::expectation_sum`], so the sign logic exists once.
+    fn stabilizer_sign(&self, px: u64, pz: u64) -> i8 {
+        let parity = |r: &Row| ((r.x & pz) ^ (r.z & px)).count_ones() & 1;
+        let (destab, stab) = self.rows.split_at(self.n);
         // Pack I into one u64 (bit i set ⇔ destabilizer i anticommutes).
         let mut select = 0u64;
         let mut shift = 0u32;
@@ -503,24 +517,113 @@ impl Tableau {
             select |= u64::from(parity(r)) << shift;
             shift += 1;
         }
-        // Accumulate the product phase over the set bits of `select`; the
-        // (ax, az) accumulator chain is inherently sequential.
+        // Accumulate the product phase over the set bits of `select`. One
+        // step A·S = i^k' (A ⊕ S) has k' = y(A) + y(S) + 2|A.z ∧ S.x| − y(A ⊕ S)
+        // (`phase_exponent`, y = Y count); over the chain the y(A) − y(A ⊕ S)
+        // terms telescope to −y(P), so each step only adds y(S) and the
+        // 2|A.z ∧ S.x| cross term. 2^32 is a multiple of 4, so the final
+        // wrapping subtraction keeps k mod 4.
         let mut ax = 0u64;
         let mut az = 0u64;
-        let mut k: i32 = 0; // phase exponent of i
+        let mut k = 0u32; // phase exponent of i
         while select != 0 {
             let s = &stab[select.trailing_zeros() as usize];
             select &= select - 1;
-            k += phase_exponent(ax, az, s.x, s.z) + if s.sign { 2 } else { 0 };
+            k += (s.x & s.z).count_ones() + 2 * ((az & s.x).count_ones() + u32::from(s.sign));
             ax ^= s.x;
             az ^= s.z;
         }
         debug_assert_eq!((ax, az), (px, pz), "destabilizer decomposition failed");
-        match k.rem_euclid(4) {
+        match k.wrapping_sub((px & pz).count_ones()) % 4 {
             0 => 1,
             2 => -1,
             _ => unreachable!("hermitian pauli product acquired an odd i power"),
         }
+    }
+
+    /// `Σ_t c_t ⟨P_t⟩` over the terms `range` of a bit-sliced Pauli sum:
+    /// the Hamiltonian kernel of the CAFQA objective (paper §3 step 7).
+    ///
+    /// **Screen.** The terms are taken 64 at a time (one block of
+    /// [`SlicedTerms`] columns). For each stabilizer row, the Z columns
+    /// its X bits select XOR the X columns its Z bits select give the
+    /// anticommutation pattern of all 64 terms with that row. The
+    /// patterns are OR-ed across rows, and the pass stops once every
+    /// lane in the range is dead. A dead term has expectation 0.
+    ///
+    /// **Survivors.** Only the terms that commute with every stabilizer
+    /// (typically 0.4–15% of a molecular Hamiltonian) run the
+    /// destabilizer select and phase fold of
+    /// [`Self::expectation_masks`], through the same private helper.
+    ///
+    /// **Sum.** The result is bit-identical to
+    /// `range.map(|t| c_t * f64::from(self.expectation_masks(x_t, z_t))).sum()`:
+    /// terms are added in order, folded left from `-0.0` exactly as
+    /// `Iterator::sum` does. A vanishing term adds `c_t · 0 = ±0`, which
+    /// leaves any nonzero partial sum unchanged, so it is skipped unless
+    /// the partial sum is itself zero (where the sign of zero can flip)
+    /// or `c_t` is not finite (where `c_t · 0` is NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ or `range` is out of bounds.
+    pub fn expectation_sum(&self, terms: &SlicedTerms, range: Range<usize>) -> f64 {
+        assert_eq!(terms.num_qubits(), self.n, "term width mismatch");
+        assert!(range.start <= range.end && range.end <= terms.len(), "term range out of bounds");
+        let coeffs = terms.coefficients();
+        let stab = &self.rows[self.n..];
+        // `c · 0` for each skipped vanishing term, while the sum is zero.
+        let add_zeros = |sum: f64, skipped: &[f64]| skipped.iter().fold(sum, |s, c| s + c * 0.0);
+        let mut sum = -0.0;
+        // Terms before `added` are in `sum`.
+        let mut added = range.start;
+        let mut start = range.start;
+        while start < range.end {
+            let block = start / LANES;
+            let base = block * LANES;
+            let end = range.end.min(base + LANES);
+            // Lanes `start - base .. end - base` of this block.
+            let lanes = (u64::MAX >> (LANES - (end - start))) << (start - base);
+            let columns = terms.block_columns(block);
+            let mut dead = 0u64;
+            for r in stab {
+                let mut pattern = 0u64;
+                for (mask, offset) in [(r.x, 1), (r.z, 0)] {
+                    let mut m = mask;
+                    while m != 0 {
+                        pattern ^= columns[2 * m.trailing_zeros() as usize + offset];
+                        m &= m - 1;
+                    }
+                }
+                dead |= pattern;
+                if dead & lanes == lanes {
+                    break;
+                }
+            }
+            let live = lanes & !dead;
+            let mut visit = live | (terms.nonfinite_lanes(block) & lanes);
+            while visit != 0 {
+                let lane = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let t = base + lane;
+                if sum == 0.0 {
+                    sum = add_zeros(sum, &coeffs[added..t]);
+                }
+                let value = if live >> lane & 1 == 1 {
+                    let (x, z, _) = terms.term(t);
+                    self.stabilizer_sign(x, z)
+                } else {
+                    0
+                };
+                sum += coeffs[t] * f64::from(value);
+                added = t + 1;
+            }
+            start = end;
+        }
+        if sum == 0.0 {
+            sum = add_zeros(sum, &coeffs[added..range.end]);
+        }
+        sum
     }
 
     /// The pre-lane-blocking scalar [`Self::expectation_masks`], kept

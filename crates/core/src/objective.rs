@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use cafqa_circuit::{Ansatz, CompiledAnsatz};
-use cafqa_clifford::Tableau;
+use cafqa_clifford::{SlicedTerms, Tableau};
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
 
@@ -19,6 +19,8 @@ pub struct Penalty {
     pub label: String,
     /// The squared shifted operator `(O − target)²`, precomputed.
     squared: PauliOp,
+    /// `squared` laid out for the bit-sliced sum kernel.
+    sliced: SlicedTerms,
     /// Penalty weight.
     pub weight: f64,
 }
@@ -30,12 +32,14 @@ impl Penalty {
         let mut shifted = op.clone();
         shifted.add_term(Complex64::from(-target), PauliString::identity(op.num_qubits()));
         let squared = shifted.mul_op(&shifted).pruned(1e-12);
-        Penalty { label: label.into(), squared, weight }
+        let sliced = SlicedTerms::from_op(&squared);
+        Penalty { label: label.into(), squared, sliced, weight }
     }
 
-    /// The penalty value on a prepared stabilizer state.
+    /// The penalty value on a prepared stabilizer state: bit-identical
+    /// to `weight · tableau.expectation(self.squared_op())`.
     pub fn value(&self, tableau: &Tableau) -> f64 {
-        self.weight * tableau.expectation(&self.squared)
+        self.weight * tableau.expectation_sum(&self.sliced, 0..self.sliced.len())
     }
 
     /// The penalty operator (for non-stabilizer evaluation paths).
@@ -130,8 +134,9 @@ pub(crate) struct EvalCore {
     /// slots; `None` falls back to per-candidate `bind_clifford` lowering
     /// through the borrowed ansatz (serial only).
     template: Option<CompiledAnsatz>,
-    /// Flat copy of the Hamiltonian for the expectation kernel.
-    terms: Vec<(PauliString, f64)>,
+    /// The Hamiltonian's real terms, in operator order, laid out for the
+    /// bit-sliced sum kernel ([`Tableau::expectation_sum`]).
+    terms: SlicedTerms,
     pub(crate) penalties: Vec<Penalty>,
 }
 
@@ -154,18 +159,9 @@ impl EvalCore {
     /// count, on any host.
     fn hamiltonian_expectation(&self, tableau: &Tableau) -> f64 {
         if self.terms.len() < CHUNKED_TERM_THRESHOLD {
-            return self
-                .terms
-                .iter()
-                .map(|(p, c)| c * f64::from(tableau.expectation_pauli(p)))
-                .sum();
+            return tableau.expectation_sum(&self.terms, 0..self.terms.len());
         }
-        self.term_chunk_ranges().map(|range| self.term_chunk_sum(tableau, range)).sum()
-    }
-
-    /// One fixed-association chunk of the large-Hamiltonian term sum.
-    fn term_chunk_sum(&self, tableau: &Tableau, range: std::ops::Range<usize>) -> f64 {
-        self.terms[range].iter().map(|(p, c)| c * f64::from(tableau.expectation_pauli(p))).sum()
+        self.term_chunk_ranges().map(|range| tableau.expectation_sum(&self.terms, range)).sum()
     }
 
     /// The fixed chunk boundaries of the large-Hamiltonian association —
@@ -179,6 +175,20 @@ impl EvalCore {
         let len = self.terms.len();
         let chunk = len.div_ceil(term_chunks_for(len));
         (0..len).step_by(chunk).map(move |start| start..(start + chunk).min(len))
+    }
+
+    /// `(string, coefficient, ⟨P⟩)` for the terms `range`, in order.
+    fn term_expectations_in(
+        &self,
+        tableau: &Tableau,
+        range: std::ops::Range<usize>,
+    ) -> Vec<(PauliString, f64, i8)> {
+        range
+            .map(|t| {
+                let (x, z, c) = self.terms.term(t);
+                (PauliString::from_masks(self.num_qubits, x, z), c, tableau.expectation_masks(x, z))
+            })
+            .collect()
     }
 
     /// [`Self::hamiltonian_expectation`] with the [`TERM_CHUNKS`] partial
@@ -203,7 +213,7 @@ impl EvalCore {
             .map(|range| {
                 let core = Arc::clone(self);
                 let tableau = Arc::clone(tableau);
-                move || core.term_chunk_sum(&tableau, range)
+                move || tableau.expectation_sum(&core.terms, range)
             })
             .collect();
         engine.map_nested(tasks).into_iter().sum()
@@ -353,7 +363,7 @@ impl<'a> CliffordObjective<'a> {
             hamiltonian.num_qubits(),
             "ansatz/hamiltonian width mismatch"
         );
-        let terms = hamiltonian.iter().map(|(p, c)| (*p, c.re)).collect();
+        let terms = SlicedTerms::from_op(hamiltonian);
         let template = CompiledAnsatz::compile(ansatz);
         let core = Arc::new(EvalCore {
             num_qubits: ansatz.num_qubits(),
@@ -584,19 +594,13 @@ impl<'a> CliffordObjective<'a> {
                     .map(|range| {
                         let core = Arc::clone(&self.core);
                         let tableau = Arc::clone(&scratch.tableau);
-                        move || {
-                            core.terms[range]
-                                .iter()
-                                .map(|(p, c)| (*p, *c, tableau.expectation_pauli(p)))
-                                .collect::<Vec<_>>()
-                        }
+                        move || core.term_expectations_in(&tableau, range)
                     })
                     .collect();
                 return engine.map(tasks).into_iter().flatten().collect();
             }
         }
-        let tableau = &scratch.tableau;
-        self.core.terms.iter().map(|(p, c)| (*p, *c, tableau.expectation_pauli(p))).collect()
+        self.core.term_expectations_in(&scratch.tableau, 0..self.core.terms.len())
     }
 }
 
@@ -934,6 +938,34 @@ mod tests {
         assert!(stay.penalized.abs() < 1e-12);
         // Raw energy is untouched by penalties.
         assert_eq!(flipped.energy, 0.0);
+    }
+
+    #[test]
+    fn penalty_value_matches_the_operator_expectation_bitwise() {
+        use cafqa_chem::mapping::{number_operator, s_squared_operator, sz_operator, Mapping};
+        let penalties = [
+            Penalty::new("electron count", &number_operator(3, Mapping::Parity), 3.0, 0.5),
+            Penalty::new("sz", &sz_operator(3, Mapping::JordanWigner), 0.5, 0.25),
+            Penalty::new("s-squared", &s_squared_operator(3, Mapping::Parity), 0.75, 0.125),
+        ];
+        let ansatz = EfficientSu2::new(6, 1);
+        let template = CompiledAnsatz::compile(&ansatz).unwrap();
+        let mut tableau = Tableau::zero_state(6);
+        for seed in 0u64..64 {
+            let config: Vec<usize> = (0..ansatz.num_parameters())
+                .map(|i| ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (2 * i % 62)) & 3) as usize)
+                .collect();
+            tableau.run_compiled(&template, &config);
+            for p in &penalties {
+                let expected = p.weight * tableau.expectation(p.squared_op());
+                assert_eq!(
+                    p.value(&tableau).to_bits(),
+                    expected.to_bits(),
+                    "{} {config:?}",
+                    p.label
+                );
+            }
+        }
     }
 
     #[test]

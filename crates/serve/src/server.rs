@@ -38,6 +38,12 @@ pub struct ServeOptions {
     /// effective inputs exactly its submitted inputs.
     pub warm_start: bool,
     /// Completed results kept in the cache (FIFO eviction beyond this).
+    /// The same bound caps the job table: once more than this many jobs
+    /// are terminal (completed, answered from the cache, cancelled or
+    /// failed), the oldest terminal entries are retired in the order
+    /// they finished, and their ids answer [`ServeError::UnknownJob`].
+    /// Memory therefore stays flat under sustained traffic; a caller
+    /// must `wait` for a job before `cache_capacity` later jobs finish.
     pub cache_capacity: usize,
 }
 
@@ -121,6 +127,10 @@ impl Finished {
 
 struct ServerState {
     jobs: HashMap<u64, JobEntry>,
+    /// Terminal job ids in the order they finished; the oldest are
+    /// retired from `jobs` beyond `ServeOptions::cache_capacity`.
+    terminal: VecDeque<u64>,
+    terminal_capacity: usize,
     /// Round-robin run queue of job ids.
     queue: VecDeque<u64>,
     cache: ResultCache,
@@ -145,7 +155,19 @@ impl ServerState {
         self.jobs.insert(id, JobEntry::new(JobStatus::Completed, None, Some(finished)));
         self.stats.completed += 1;
         self.stats.cache_hits += 1;
+        self.retire_beyond_capacity(id);
         true
+    }
+
+    /// Records that job `id` just became terminal, then drops the oldest
+    /// terminal entries beyond the capacity, so the job table (and the
+    /// results its entries hold) cannot grow with throughput.
+    fn retire_beyond_capacity(&mut self, id: u64) {
+        self.terminal.push_back(id);
+        while self.terminal.len() > self.terminal_capacity {
+            let oldest = self.terminal.pop_front().expect("longer than the capacity");
+            self.jobs.remove(&oldest);
+        }
     }
 }
 
@@ -191,6 +213,8 @@ impl CafqaServer {
             engine,
             state: Mutex::new(ServerState {
                 jobs: HashMap::new(),
+                terminal: VecDeque::new(),
+                terminal_capacity: opts.cache_capacity,
                 queue: VecDeque::new(),
                 cache: ResultCache::new(opts.cache_capacity),
                 next_id: 0,
@@ -480,6 +504,7 @@ fn scheduler_loop(shared: &Shared) {
                 entry.live = None;
                 state.in_flight -= 1;
                 state.stats.cancelled += 1;
+                state.retire_beyond_capacity(id);
                 drop(state);
                 shared.done.notify_all();
                 continue;
@@ -529,6 +554,7 @@ fn scheduler_loop(shared: &Shared) {
                 if matches!(live.disposition, Disposition::WarmStarted { .. }) {
                     state.stats.warm_starts += 1;
                 }
+                state.retire_beyond_capacity(id);
                 drop(state);
                 shared.done.notify_all();
             }
@@ -544,6 +570,7 @@ fn scheduler_loop(shared: &Shared) {
                 entry.live = None;
                 state.in_flight -= 1;
                 state.stats.cancelled += 1;
+                state.retire_beyond_capacity(id);
                 drop(state);
                 shared.done.notify_all();
             }
@@ -554,6 +581,7 @@ fn scheduler_loop(shared: &Shared) {
                 entry.error = Some(message);
                 state.in_flight -= 1;
                 state.stats.failed += 1;
+                state.retire_beyond_capacity(id);
                 drop(state);
                 shared.done.notify_all();
             }
@@ -617,6 +645,45 @@ mod tests {
         assert_matches_solo(&served.result, &solo);
         let stats = server.stats();
         assert_eq!((stats.failed, stats.completed), (1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn terminal_entries_retire_fifo_beyond_the_cache_capacity() {
+        let (ansatz, h, opts) = three_qubit_job();
+        let engine = ExecEngine::new(2);
+        let serve_opts =
+            ServeOptions { cache_capacity: 3, warm_start: false, ..Default::default() };
+        let mut server = CafqaServer::start(engine.clone(), serve_opts);
+        let opts_with = |seed| CafqaOptions { seed, ..opts.clone() };
+        let spec = |seed| JobSpec::new(ansatz.clone(), h.clone(), opts_with(seed));
+        // One failed job, four fresh completions, one cache-hit completion.
+        let failed = server.submit(spec(PANIC_SEED)).unwrap();
+        assert!(matches!(server.wait(failed), Err(ServeError::JobFailed { .. })));
+        let mut finished = Vec::new();
+        for seed in [1, 2, 3, 4] {
+            let id = server.submit(spec(seed)).unwrap();
+            server.wait(id).unwrap();
+            finished.push((id, seed));
+        }
+        finished.push((server.submit(spec(4)).unwrap(), 4));
+        assert_eq!(server.stats().cache_hits, 1);
+        // Six terminal jobs against a capacity of three: the three oldest
+        // are gone, whatever way they ended.
+        for retired in [failed, finished[0].0, finished[1].0] {
+            assert!(
+                matches!(server.status(retired), Err(ServeError::UnknownJob(id)) if id == retired)
+            );
+            assert!(
+                matches!(server.wait(retired), Err(ServeError::UnknownJob(id)) if id == retired)
+            );
+            assert!(matches!(server.cancel(retired), Err(ServeError::UnknownJob(_))));
+        }
+        for &(id, seed) in &finished[2..] {
+            let served = server.wait(id).unwrap();
+            let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts_with(seed));
+            assert_matches_solo(&served.result, &solo);
+        }
         server.shutdown();
     }
 
