@@ -38,7 +38,7 @@ use cafqa_chem::mapping::Mapping;
 use cafqa_chem::{qubit_hamiltonian, ChemPipeline, MoleculeKind, ScfKind};
 use cafqa_circuit::{Ansatz, CompiledAnsatz, EfficientSu2};
 use cafqa_clifford::{BranchEnsemble, CliffordTState, SlicedTerms, Tableau};
-use cafqa_core::exhaustive::{exhaustive_search_serial, exhaustive_search_with_workers};
+use cafqa_core::exhaustive::exhaustive_search_on;
 use cafqa_core::maxcut::{maxcut_hamiltonian, Graph};
 use cafqa_core::{
     classify_ising, kt_session, polish_on, run_cafqa_kt_on, run_cafqa_on, solve_ising_batch_on,
@@ -264,7 +264,9 @@ fn bench_h2_oracle(c: &mut Criterion) {
     let ansatz = EfficientSu2::new(2, 1);
     let hamiltonian = problem.hamiltonian.clone();
     let mut group = c.benchmark_group("h2_exhaustive_oracle_4pow8");
-    let reference = exhaustive_search_serial(&ansatz, &hamiltonian, vec![]).unwrap();
+    let serial = ExecEngine::serial();
+    let sharded = ExecEngine::new(8);
+    let reference = exhaustive_search_on(&serial, &ansatz, &hamiltonian, vec![]).unwrap();
     group.bench_function("old_per_candidate", |b| {
         b.iter(|| {
             let mut best = f64::INFINITY;
@@ -288,14 +290,14 @@ fn bench_h2_oracle(c: &mut Criterion) {
     });
     group.bench_function("new_serial", |b| {
         b.iter(|| {
-            let result = exhaustive_search_serial(&ansatz, &hamiltonian, vec![]).unwrap();
+            let result = exhaustive_search_on(&serial, &ansatz, &hamiltonian, vec![]).unwrap();
             assert_eq!(result.energy, reference.energy);
             black_box(result.penalized)
         })
     });
     group.bench_function("new_sharded_8", |b| {
         b.iter(|| {
-            let result = exhaustive_search_with_workers(&ansatz, &hamiltonian, vec![], 8).unwrap();
+            let result = exhaustive_search_on(&sharded, &ansatz, &hamiltonian, vec![]).unwrap();
             assert_eq!(result.energy, reference.energy);
             black_box(result.penalized)
         })
@@ -817,17 +819,18 @@ impl Ansatz for ReversedLayoutAnsatz {
     }
 }
 
-/// The backward-seek A/B: `PolishSession` with the layered checkpoint
-/// stack vs the same session with the stack disabled (the frozen
-/// pre-stack behavior: every backward seek rebuilds the prefix from
-/// `|0…0⟩`). The move stream is a screened-pair-sweep shape on the
-/// reversed-layout ansatz — two screened pairs whose seek targets sit
-/// in the two deepest execution layers, so every sweep issues a deep
-/// backward seek. Energies are asserted bit-identical between the two
-/// arms AND against full re-preparation, the incremental `polish_on`
-/// trace is pinned to the frozen `reference_polish` on the standard
-/// 96-dim workload, and the stack must deliver a measured ≥ 1.2× on
-/// the sweep. Single-threaded; numbers land in `BENCH_search.json`.
+/// The backward-seek A/B: `PolishSession`, whose prefix cursor restores
+/// a layer snapshot on a backward seek, vs a frozen loop of public
+/// `Tableau` primitives that rebuilds the prefix from `|0…0⟩` on every
+/// backward seek (the pre-stack behavior). The move stream is a
+/// screened-pair-sweep shape on the reversed-layout ansatz — two
+/// screened pairs whose seek targets sit in the two deepest execution
+/// layers, so every sweep issues a deep backward seek. Energies are
+/// asserted bit-identical between the two arms AND against full
+/// re-preparation, the incremental `polish_on` trace is pinned to the
+/// frozen `reference_polish` on the standard 96-dim workload, and the
+/// stack must deliver a measured ≥ 1.2× on the sweep. Single-threaded;
+/// numbers land in `BENCH_search.json`.
 fn bench_backward_seek_polish(c: &mut Criterion) {
     const GROUP: &str = "backward_seek_checkpoint_stack_384dim";
     if !filter_matches(GROUP) {
@@ -870,11 +873,9 @@ fn bench_backward_seek_polish(c: &mut Criterion) {
         .map(|&(i, j)| (0..16).map(|code| vec![(i, code / 4), (j, code % 4)]).collect())
         .collect();
     const SWEEPS: usize = 64;
-    let run = |stack: bool| -> (Vec<f64>, (u64, u64)) {
-        let mut session = objective
-            .polish_session(start.clone())
-            .expect("compiled ansatz has a session")
-            .with_checkpoint_stack(stack);
+    let run = || -> (Vec<f64>, (u64, u64)) {
+        let mut session =
+            objective.polish_session(start.clone()).expect("compiled ansatz has a session");
         let mut values = Vec::new();
         for _ in 0..SWEEPS {
             for moves in &pair_moves {
@@ -883,8 +884,45 @@ fn bench_backward_seek_polish(c: &mut Criterion) {
         }
         (values, session.seek_stats())
     };
-    let (stacked_values, stacked_stats) = run(true);
-    let (plain_values, plain_stats) = run(false);
+    // The frozen rebuild arm: the same seek stream and neighbour replay,
+    // with every backward seek re-preparing the prefix from |0…0⟩.
+    let template = CompiledAnsatz::compile(&ansatz).expect("the reversed-layout ansatz compiles");
+    let terms = SlicedTerms::from_op(&hamiltonian);
+    let seek_targets: Vec<usize> =
+        pairs.iter().map(|&(i, j)| template.first_op_of(i).min(template.first_op_of(j))).collect();
+    let run_rebuild = || -> (Vec<f64>, u64) {
+        let mut prefix = Tableau::zero_state(12);
+        let mut scratch = prefix.clone();
+        let mut prefix_end = 0;
+        let mut config = start.clone();
+        let mut backward_seeks = 0;
+        let mut values = Vec::new();
+        for _ in 0..SWEEPS {
+            for (moves, &target) in pair_moves.iter().zip(&seek_targets) {
+                if target < prefix_end {
+                    backward_seeks += 1;
+                    prefix.run_compiled_prefix(&template, &start, target);
+                } else {
+                    prefix.apply_range(&template, &start, prefix_end, target);
+                }
+                prefix_end = target;
+                for mv in moves {
+                    for &(slot, value) in mv {
+                        config[slot] = value;
+                    }
+                    scratch.copy_from(&prefix);
+                    scratch.apply_from(&template, &config, target);
+                    values.push(scratch.expectation_sum(&terms, 0..terms.len()));
+                    for &(slot, _) in mv {
+                        config[slot] = start[slot];
+                    }
+                }
+            }
+        }
+        (values, backward_seeks)
+    };
+    let (stacked_values, stacked_stats) = run();
+    let (plain_values, plain_seeks) = run_rebuild();
     // Both arms agree bit for bit, and with full re-preparation.
     assert_eq!(stacked_values.len(), plain_values.len());
     for (k, (a, b)) in stacked_values.iter().zip(&plain_values).enumerate() {
@@ -906,18 +944,17 @@ fn bench_backward_seek_polish(c: &mut Criterion) {
     for (k, (a, b)) in stacked_values.iter().zip(&reprepared).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "incremental energy diverged at move {k}");
     }
-    // The structural claim: every sweep seeks backward once, and with
-    // the stack on, every one of those restores a layer checkpoint.
+    // The structural claim: every sweep seeks backward once, and every
+    // one of those restores a layer checkpoint.
     assert_eq!(stacked_stats.0, SWEEPS as u64, "one backward seek per sweep");
     assert_eq!(stacked_stats.1, SWEEPS as u64, "every backward seek must restore a checkpoint");
-    assert_eq!(plain_stats.0, stacked_stats.0, "both arms see the same seek stream");
-    assert_eq!(plain_stats.1, 0, "the disabled stack must never restore");
-    black_box(run(true));
-    black_box(run(false));
+    assert_eq!(plain_seeks, stacked_stats.0, "both arms see the same seek stream");
+    black_box(run());
+    black_box(run_rebuild());
     let stacked_elapsed = (0..3)
         .map(|_| {
             let t = Instant::now();
-            black_box(run(true));
+            black_box(run());
             t.elapsed()
         })
         .min()
@@ -925,17 +962,18 @@ fn bench_backward_seek_polish(c: &mut Criterion) {
     let plain_elapsed = (0..3)
         .map(|_| {
             let t = Instant::now();
-            black_box(run(false));
+            black_box(run_rebuild());
             t.elapsed()
         })
         .min()
         .unwrap();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = plain_elapsed.as_secs_f64() / stacked_elapsed.as_secs_f64();
     record_bench_json(
         "backward_seek_checkpoint_stack_384dim",
         format!(
-            "{{\"qubits\": 12, \"layers\": 32, \"dims\": {d}, \"terms\": 8, \
-             \"sweeps\": {SWEEPS}, \"pairs\": 2, \"backward_seeks\": {}, \
+            "{{\"host_cores\": {host_cores}, \"qubits\": 12, \"layers\": 32, \"dims\": {d}, \
+             \"terms\": 8, \"sweeps\": {SWEEPS}, \"pairs\": 2, \"backward_seeks\": {}, \
              \"stack_restores\": {}, \"rebuild_ms\": {:.3}, \"stack_ms\": {:.3}, \
              \"speedup\": {:.3}, \"energies_bit_identical\": true, \
              \"reference_polish_trace_bit_identical\": true}}",
@@ -955,8 +993,8 @@ fn bench_backward_seek_polish(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group(GROUP);
-    group.bench_function("rebuild_from_zero", |b| b.iter(|| black_box(run(false))));
-    group.bench_function("checkpoint_stack", |b| b.iter(|| black_box(run(true))));
+    group.bench_function("rebuild_from_zero", |b| b.iter(|| black_box(run_rebuild())));
+    group.bench_function("checkpoint_stack", |b| b.iter(|| black_box(run())));
     group.finish();
 }
 

@@ -9,7 +9,7 @@
 //! that with one [`ExecEngine`]: a pool of long-lived worker threads fed
 //! self-contained jobs over a channel, shared by
 //! [`CliffordObjective::evaluate_batch`](crate::CliffordObjective::evaluate_batch),
-//! [`exhaustive_search`](crate::exhaustive::exhaustive_search), the
+//! [`exhaustive_search_on`](crate::exhaustive::exhaustive_search_on), the
 //! polish sweeps in [`run_cafqa`](crate::run_cafqa), and (through the
 //! [`cafqa_bayesopt::Executor`] seam) the random-forest surrogate's
 //! batched scoring.
@@ -315,7 +315,6 @@ impl ExecEngine {
     /// The process-wide shared engine, created on first use via
     /// [`ExecEngine::from_env`]. This is what the public entry points
     /// ([`run_cafqa`](crate::run_cafqa),
-    /// [`exhaustive_search`](crate::exhaustive::exhaustive_search),
     /// [`CliffordObjective::new`](crate::CliffordObjective::new)) use
     /// unless handed an explicit engine; its threads live for the rest
     /// of the process.

@@ -99,24 +99,9 @@ fn result_from(best_code: u64, best: ObjectiveValue, d: usize, total: u64) -> Ex
 
 /// Enumerates every Clifford configuration of the ansatz and returns the
 /// global optimum of the penalized objective, sharding the enumeration
-/// across the process-global [`ExecEngine`]. The result is identical to
-/// [`exhaustive_search_serial`] — ties on the penalized value resolve to
-/// the lowest enumeration code in both.
-///
-/// # Errors
-///
-/// Returns the space size when it exceeds [`MAX_EXHAUSTIVE`].
-pub fn exhaustive_search(
-    ansatz: &dyn Ansatz,
-    hamiltonian: &PauliOp,
-    penalties: Vec<Penalty>,
-) -> Result<ExhaustiveResult, u64> {
-    exhaustive_search_on(ExecEngine::global(), ansatz, hamiltonian, penalties)
-}
-
-/// [`exhaustive_search`] on an explicit engine — the entry point for
-/// callers that own a persistent pool (one engine for a whole
-/// experiment run, not one per search).
+/// across `engine`. The result does not depend on the engine's width:
+/// ties on the penalized value resolve to the lowest enumeration code
+/// on every shard count, [`ExecEngine::serial`] included.
 ///
 /// # Errors
 ///
@@ -164,38 +149,6 @@ pub fn exhaustive_search_on(
     Ok(result_from(best_code, best, d, total))
 }
 
-/// [`exhaustive_search`] with an explicit shard count on a private,
-/// temporary engine; exposed so the shard/merge path stays testable and
-/// benchmarkable regardless of the host's core count.
-///
-/// # Errors
-///
-/// Returns the space size when it exceeds [`MAX_EXHAUSTIVE`].
-pub fn exhaustive_search_with_workers(
-    ansatz: &dyn Ansatz,
-    hamiltonian: &PauliOp,
-    penalties: Vec<Penalty>,
-    workers: u64,
-) -> Result<ExhaustiveResult, u64> {
-    let engine = ExecEngine::new(workers as usize);
-    exhaustive_search_on(&engine, ansatz, hamiltonian, penalties)
-}
-
-/// The single-threaded reference enumeration. Same result as
-/// [`exhaustive_search`]; kept public as the baseline for the
-/// batched-vs-serial benchmarks and equivalence tests.
-///
-/// # Errors
-///
-/// Returns the space size when it exceeds [`MAX_EXHAUSTIVE`].
-pub fn exhaustive_search_serial(
-    ansatz: &dyn Ansatz,
-    hamiltonian: &PauliOp,
-    penalties: Vec<Penalty>,
-) -> Result<ExhaustiveResult, u64> {
-    exhaustive_search_with_workers(ansatz, hamiltonian, penalties, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +160,8 @@ mod tests {
     #[test]
     fn microbenchmark_space_is_exhausted() {
         let h = xx_hamiltonian();
-        let result = exhaustive_search(&XxMicrobenchAnsatz, &h, vec![]).unwrap();
+        let result =
+            exhaustive_search_on(&ExecEngine::serial(), &XxMicrobenchAnsatz, &h, vec![]).unwrap();
         assert_eq!(result.evaluations, 4);
         assert_eq!(result.energy, -1.0);
         assert_eq!(result.best_config, vec![3]); // θ = 3π/2
@@ -217,7 +171,7 @@ mod tests {
     fn refuses_large_spaces() {
         let ansatz = EfficientSu2::new(4, 1); // 16 parameters → 4^16
         let h = PauliOp::identity(4);
-        assert!(exhaustive_search(&ansatz, &h, vec![]).is_err());
+        assert!(exhaustive_search_on(&ExecEngine::serial(), &ansatz, &h, vec![]).is_err());
     }
 
     /// A deliberately cheap wide ansatz: `H` then `d` RZ slots on one
@@ -250,14 +204,16 @@ mod tests {
     fn twelve_parameter_boundary_is_enumerable() {
         let h: PauliOp = "X".parse().unwrap();
         assert_eq!(4u64.pow(12), MAX_EXHAUSTIVE);
-        let result = exhaustive_search(&ManyRz(12), &h, vec![]).unwrap();
+        let engine = ExecEngine::serial();
+        let result = exhaustive_search_on(&engine, &ManyRz(12), &h, vec![]).unwrap();
         assert_eq!(result.evaluations, MAX_EXHAUSTIVE);
         // ⟨X⟩ = −1 needs Σ kᵢ ≡ 2 (mod 4); the earliest code is [2, 0, …].
         assert_eq!(result.energy, -1.0);
         let mut expected = vec![0usize; 12];
         expected[0] = 2;
         assert_eq!(result.best_config, expected);
-        assert!(exhaustive_search(&ManyRz(13), &h, vec![]).is_err_and(|size| size == 4u64.pow(13)));
+        let refused = exhaustive_search_on(&engine, &ManyRz(13), &h, vec![]);
+        assert!(refused.is_err_and(|size| size == 4u64.pow(13)));
     }
 
     /// The sharded enumeration must return exactly the serial result,
@@ -267,9 +223,10 @@ mod tests {
     fn sharded_matches_serial() {
         let h: PauliOp = "0.5*XX + 0.25*ZZ - 0.1*YI".parse().unwrap();
         let ansatz = EfficientSu2::new(2, 1); // 8 parameters → 4^8
-        let serial = exhaustive_search_serial(&ansatz, &h, vec![]).unwrap();
-        for workers in [2u64, 5, 8] {
-            let sharded = exhaustive_search_with_workers(&ansatz, &h, vec![], workers).unwrap();
+        let serial = exhaustive_search_on(&ExecEngine::serial(), &ansatz, &h, vec![]).unwrap();
+        for workers in [2, 5, 8] {
+            let engine = ExecEngine::new(workers);
+            let sharded = exhaustive_search_on(&engine, &ansatz, &h, vec![]).unwrap();
             assert_eq!(sharded.best_config, serial.best_config, "{workers} workers");
             assert_eq!(sharded.energy.to_bits(), serial.energy.to_bits());
             assert_eq!(sharded.penalized.to_bits(), serial.penalized.to_bits());
@@ -284,8 +241,9 @@ mod tests {
     fn tie_resolution_prefers_lowest_code_across_shards() {
         let h = PauliOp::identity(2);
         let ansatz = EfficientSu2::new(2, 1);
-        for workers in [3u64, 7] {
-            let result = exhaustive_search_with_workers(&ansatz, &h, vec![], workers).unwrap();
+        for workers in [3, 7] {
+            let engine = ExecEngine::new(workers);
+            let result = exhaustive_search_on(&engine, &ansatz, &h, vec![]).unwrap();
             assert_eq!(result.best_config, vec![0; 8], "{workers} workers");
             assert_eq!(result.energy, 1.0);
         }
@@ -299,7 +257,9 @@ mod tests {
         let problem = pipe.problem(1, 1, true).unwrap();
         let ansatz = EfficientSu2::new(2, 1);
         let penalty = Penalty::new("n", &problem.number_op, problem.n_electrons() as f64, 1.0);
-        let oracle = exhaustive_search(&ansatz, &problem.hamiltonian, vec![penalty]).unwrap();
+        let engine = ExecEngine::global();
+        let oracle = exhaustive_search_on(engine, &ansatz, &problem.hamiltonian, vec![penalty]);
+        let oracle = oracle.unwrap();
         let penalty = Penalty::new("n", &problem.number_op, problem.n_electrons() as f64, 1.0);
         let seeds = vec![ansatz.basis_state_config(problem.hf_bits)];
         let opts = CafqaOptions { warmup: 150, iterations: 250, ..Default::default() };

@@ -145,7 +145,6 @@ fn write_opts(hash: &mut Fnv1a, opts: &CafqaOptions) {
     hash.write_u64(match ising_fast_path {
         IsingFastPath::Auto => 0,
         IsingFastPath::Off => 1,
-        IsingFastPath::Force => 2,
     });
 }
 

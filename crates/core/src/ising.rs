@@ -32,7 +32,7 @@
 //!
 //! Routing is governed by [`CafqaOptions::ising_fast_path`]; see the
 //! [problem-structure routing](crate::CafqaOptions#problem-structure-routing)
-//! notes for the force/disable contract.
+//! notes for the fallback/disable contract.
 
 use std::collections::BTreeMap;
 
@@ -59,10 +59,6 @@ pub enum IsingFastPath {
     /// knob for measuring the unrouted baseline (the BO arm of the
     /// `ising_fast_path_vs_bo` bench) and for pinning legacy traces.
     Off,
-    /// Require routing: panic if the instance cannot take the fast path.
-    /// For callers that *know* their workload is Ising-class and want
-    /// misclassification to be loud.
-    Force,
 }
 
 /// Exact exhaustive solving is used up to this many qubits; larger
@@ -358,11 +354,6 @@ pub fn classify_ising(hamiltonian: &PauliOp) -> Option<IsingForm> {
 /// wins; the reported energy is therefore always the tableau
 /// simulator's, and seeding keeps the "never worse than the seed"
 /// guarantee intact.
-///
-/// # Panics
-///
-/// Panics when [`CafqaOptions::ising_fast_path`] is
-/// [`IsingFastPath::Force`] and the instance cannot route.
 pub(crate) fn ising_route(
     objective: &CliffordObjective<'_>,
     opts: &CafqaOptions,
@@ -370,27 +361,14 @@ pub(crate) fn ising_route(
     if opts.ising_fast_path == IsingFastPath::Off {
         return None;
     }
-    let force = opts.ising_fast_path == IsingFastPath::Force;
     if !objective.core().penalties.is_empty() {
-        assert!(!force, "ising_fast_path: Force, but penalties require the full objective");
         return None;
     }
-    let Some(form) = classify_ising(objective.hamiltonian) else {
-        assert!(!force, "ising_fast_path: Force, but the Hamiltonian is not Ising-class");
-        return None;
-    };
+    let form = classify_ising(objective.hamiltonian)?;
     // `classify_ising` never emits a form above the solve cap, so an
     // error here is unreachable; treat it as "cannot route" for safety.
-    let Ok((bits, _reduced)) = form.solve(opts.seed) else {
-        assert!(!force, "ising_fast_path: Force, but the instance exceeds the solve cap");
-        return None;
-    };
-    let lifted = objective.ansatz.eigenstate_config(bits, &form.bases);
-    assert!(
-        !force || lifted.is_some(),
-        "ising_fast_path: Force, but the ansatz has no eigenstate lift"
-    );
-    lifted
+    let (bits, _reduced) = form.solve(opts.seed).ok()?;
+    objective.ansatz.eigenstate_config(bits, &form.bases)
 }
 
 /// One instance of the batched serving layer: an

@@ -21,6 +21,7 @@ use cafqa_circuit::{Ansatz, CompiledAnsatz};
 use cafqa_clifford::{BranchEnsemble, MAX_BRANCH_GATES};
 use cafqa_pauli::PauliOp;
 
+use crate::cursor::PrefixCursor;
 use crate::engine::ExecEngine;
 use crate::objective::{ObjectiveValue, Penalty};
 use crate::runner::{chain_accept, run_cafqa_on, CafqaOptions, SearchPoint};
@@ -306,9 +307,10 @@ pub(crate) struct KtCore {
 
 /// An incremental evaluator for 8-ary configurations sharing a common
 /// prefix — the kT counterpart of the Clifford search's `PolishSession`,
-/// with the checkpoint state a [`BranchEnsemble`] so the prefix cache
-/// works *across the T-gate frontier* (a checkpoint may hold open branch
-/// frames; suffix replay conjugates them like any other state).
+/// on the same prefix cursor with a [`BranchEnsemble`] as its state, so
+/// the prefix cache works *across the T-gate frontier* (a prefix may hold
+/// open branch frames; suffix replay conjugates them like any other
+/// state).
 ///
 /// Variant batches shard over the session's engine; each variant's value
 /// is a pure function of the variant alone, and shard results reassemble
@@ -316,48 +318,23 @@ pub(crate) struct KtCore {
 pub struct KtPolishSession {
     core: Arc<KtCore>,
     engine: ExecEngine,
-    /// State after template ops `0..prefix_end` under `prefix_config`.
-    prefix: Arc<BranchEnsemble>,
-    prefix_config: Vec<usize>,
-    prefix_end: usize,
-    /// The template's layer boundaries (`CompiledAnsatz::layer_starts`).
-    layers: Vec<usize>,
-    /// Per-boundary snapshots, mirroring the Clifford
-    /// `PolishSession` stack: `stack[i]` (when `Some`) holds the state
-    /// after ops `0..layers[i]` under a configuration agreeing with
-    /// `prefix_config` on every parameter read before `layers[i]` — so
-    /// rewinds restore a snapshot instead of rebuilding from `|0…0⟩`.
-    stack: Vec<Option<Arc<BranchEnsemble>>>,
-    backward_seeks: u64,
-    stack_restores: u64,
+    cursor: PrefixCursor<BranchEnsemble>,
     skipped_classes: u64,
 }
 
 impl KtPolishSession {
     pub(crate) fn new(core: Arc<KtCore>, engine: ExecEngine) -> Self {
-        let d = core.template.num_parameters();
-        let prefix = Arc::new(BranchEnsemble::zero_state(core.num_qubits));
-        let layers = core.template.layer_starts().to_vec();
-        let stack = vec![None; layers.len()];
-        KtPolishSession {
-            core,
-            engine,
-            prefix,
-            prefix_config: vec![0; d],
-            prefix_end: 0,
-            layers,
-            stack,
-            backward_seeks: 0,
-            stack_restores: 0,
-            skipped_classes: 0,
-        }
+        let zero = BranchEnsemble::zero_state(core.num_qubits);
+        let config = vec![0; core.template.num_parameters()];
+        let cursor = PrefixCursor::new(&core.template, zero, config);
+        KtPolishSession { core, engine, cursor, skipped_classes: 0 }
     }
 
     /// `(backward_seeks, stack_restores)`: seeks that could not reuse the
-    /// running checkpoint, and how many of those restored a layer
-    /// snapshot instead of rebuilding the prefix from `|0…0⟩`.
+    /// running prefix, and how many of those restored a layer snapshot
+    /// instead of rebuilding the prefix from `|0…0⟩`.
     pub fn seek_stats(&self) -> (u64, u64) {
-        (self.backward_seeks, self.stack_restores)
+        self.cursor.seek_stats()
     }
 
     /// Total XOR classes the bound screen skipped across every evaluation
@@ -370,20 +347,13 @@ impl KtPolishSession {
     /// Evaluates arbitrary full configurations (no shared prefix): the
     /// engine-batched candidate path of the BO phase.
     pub fn evaluate_batch(&mut self, configs: &[Vec<usize>]) -> Vec<ObjectiveValue> {
-        if self.prefix_end != 0 {
-            let config = self.prefix_config.clone();
-            Arc::make_mut(&mut self.prefix)
-                .run_compiled_prefix(&self.core.template, &config, 0)
-                .expect("an empty prefix opens no branches");
-            self.prefix_end = 0;
-        }
+        self.cursor.rewind(&self.core.template);
         self.evaluate_from_prefix(configs)
     }
 
     /// Evaluates variants of `base` that differ only at the parameters
-    /// in `changed`: the prefix up to the first op reading a changed
-    /// parameter is checkpointed once and only the suffix replays per
-    /// variant.
+    /// in `changed`: the cursor seeks to the first op reading a changed
+    /// parameter once and only the suffix replays per variant.
     pub fn evaluate_variants(
         &mut self,
         base: &[usize],
@@ -392,7 +362,7 @@ impl KtPolishSession {
     ) -> Vec<ObjectiveValue> {
         let target_end =
             changed.iter().map(|&p| self.core.template.first_op_of(p)).min().unwrap_or(0);
-        self.seek(base, target_end);
+        self.cursor.seek(&self.core.template, base, target_end);
         self.evaluate_from_prefix(variants)
     }
 
@@ -411,80 +381,10 @@ impl KtPolishSession {
     ) -> Vec<f64> {
         let target_end =
             changed.iter().map(|&p| self.core.template.first_op_of(p)).min().unwrap_or(0);
-        self.seek(base, target_end);
+        self.cursor.seek(&self.core.template, base, target_end);
         self.shard_from_prefix(variants, |core, state| {
             rank_value_of(&core.terms, &core.penalties, state)
         })
-    }
-
-    /// Advances (or rewinds) the prefix checkpoint to cover template
-    /// ops `0..target_end` under `base`. The running checkpoint is
-    /// reused when every parameter it already consumed agrees with
-    /// `base` — so ascending coordinate sweeps extend it incrementally;
-    /// when it cannot be (a rewind, or a stale prefix), the deepest
-    /// still-valid layer snapshot at or below the target is restored and
-    /// only the ops past it replay, with a rebuild from `|0…0⟩` as the
-    /// last resort. Forward advances snapshot every layer boundary they
-    /// cross, so the stack refills as the sweep proceeds.
-    fn seek(&mut self, base: &[usize], target_end: usize) {
-        let template = &self.core.template;
-        // Earliest op reading a parameter where `base` disagrees with
-        // the configuration the checkpoint and snapshots were built
-        // under; snapshots past it are not prefix states of `base`.
-        let diff_first = base
-            .iter()
-            .zip(&self.prefix_config)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(p, _)| template.first_op_of(p))
-            .min()
-            .unwrap_or(usize::MAX);
-        for (i, slot) in self.stack.iter_mut().enumerate() {
-            if self.layers[i] > diff_first {
-                *slot = None;
-            }
-        }
-        let reusable = target_end >= self.prefix_end && self.prefix_end <= diff_first;
-        if !reusable {
-            self.backward_seeks += 1;
-            let restore = (0..self.layers.len())
-                .rev()
-                .find(|&i| self.layers[i] <= target_end && self.stack[i].is_some());
-            match restore {
-                Some(i) => {
-                    let ckpt = Arc::clone(self.stack[i].as_ref().expect("found Some above"));
-                    Arc::make_mut(&mut self.prefix).copy_from(&ckpt);
-                    self.prefix_end = self.layers[i];
-                    self.stack_restores += 1;
-                }
-                None => {
-                    Arc::make_mut(&mut self.prefix)
-                        .run_compiled_prefix(template, base, 0)
-                        .expect("an empty prefix opens no branches");
-                    self.prefix_end = 0;
-                }
-            }
-        }
-        while self.prefix_end < target_end {
-            let next = self.layers.iter().position(|&b| b > self.prefix_end && b <= target_end);
-            let prefix = Arc::make_mut(&mut self.prefix);
-            let stop = match next {
-                Some(i) => self.layers[i],
-                None => target_end,
-            };
-            prefix
-                .apply_range(template, base, self.prefix_end, stop)
-                .expect("a prefix of a feasible configuration stays within the branch budget");
-            self.prefix_end = stop;
-            if let Some(i) = next {
-                match &mut self.stack[i] {
-                    Some(ckpt) => Arc::make_mut(ckpt).copy_from(prefix),
-                    slot => *slot = Some(Arc::new(prefix.clone())),
-                }
-            }
-        }
-        self.prefix_config.clear();
-        self.prefix_config.extend_from_slice(base);
     }
 
     /// Checkpoint + suffix replay for every variant through the
@@ -515,7 +415,7 @@ impl KtPolishSession {
         T: Send + 'static,
         F: Fn(&KtCore, &BranchEnsemble) -> T + Send + Sync + Clone + 'static,
     {
-        let end = self.prefix_end;
+        let end = self.cursor.end();
         let ops_len = self.core.template.ops().len();
         if variants.len() > 1 && self.engine.is_pooled() {
             let chunk = variants.len().div_ceil(self.engine.workers() * 2).max(1);
@@ -523,7 +423,7 @@ impl KtPolishSession {
                 .chunks(chunk)
                 .map(|chunk| {
                     let core = Arc::clone(&self.core);
-                    let prefix = Arc::clone(&self.prefix);
+                    let prefix = Arc::clone(self.cursor.prefix());
                     let chunk = chunk.to_vec();
                     let kernel = kernel.clone();
                     move || {
@@ -543,11 +443,12 @@ impl KtPolishSession {
                 .collect();
             self.engine.map(tasks).into_iter().flatten().collect()
         } else {
-            let mut scratch = (*self.prefix).clone();
+            let prefix = self.cursor.prefix();
+            let mut scratch = (**prefix).clone();
             variants
                 .iter()
                 .map(|config| {
-                    scratch.copy_from(&self.prefix);
+                    scratch.copy_from(prefix);
                     scratch
                         .apply_range(&self.core.template, config, end, ops_len)
                         .expect("feasible suffix stays within the branch budget");

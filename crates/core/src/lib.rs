@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+mod cursor;
 pub mod engine;
 pub mod exhaustive;
 pub mod fingerprint;

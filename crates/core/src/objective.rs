@@ -8,6 +8,7 @@ use cafqa_clifford::{SlicedTerms, Tableau};
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
 
+use crate::cursor::PrefixCursor;
 use crate::engine::ExecEngine;
 
 /// A quadratic sector penalty `weight · ⟨(O − target)²⟩`, the paper's
@@ -412,21 +413,17 @@ impl<'a> CliffordObjective<'a> {
     pub fn polish_session(&self, base: Vec<usize>) -> Option<PolishSession> {
         let template = self.core.template.as_ref()?;
         assert_eq!(base.len(), template.num_parameters(), "base config length mismatch");
-        let layers = template.layer_starts().to_vec();
-        let stack = vec![None; layers.len()];
         Some(PolishSession {
             core: Arc::clone(&self.core),
             engine: self.engine.clone(),
-            prefix: Arc::new(Tableau::zero_state(self.core.num_qubits)),
-            prefix_end: 0,
+            cursor: PrefixCursor::new(
+                template,
+                Tableau::zero_state(self.core.num_qubits),
+                base.clone(),
+            ),
             scratch: self.core.scratch(),
             config_buf: base.clone(),
             base,
-            layers,
-            stack,
-            use_stack: true,
-            backward_seeks: 0,
-            stack_restores: 0,
         })
     }
 
@@ -613,22 +610,19 @@ pub type PolishMove = Vec<(usize, usize)>;
 /// [`CliffordObjective::polish_session`]).
 ///
 /// The session owns the current *base* configuration and a prefix
-/// checkpoint: a tableau holding the state after template ops
-/// `0..prefix_end` of the base. Evaluating a batch of moves seeks the
-/// checkpoint to the earliest op any move affects
-/// (`CompiledAnsatz::first_op_of`), then each neighbor restores the
-/// checkpoint and replays only the suffix — turning the
-/// full-re-preparation cost of a polish evaluation into work
+/// cursor: a tableau holding the state after the first template ops of
+/// the base. Evaluating a batch of moves seeks the cursor to the
+/// earliest op any move affects (`CompiledAnsatz::first_op_of`), then
+/// each neighbor restores the prefix and replays only the suffix —
+/// turning the full-re-preparation cost of a polish evaluation into work
 /// proportional to the suffix length. Forward sweeps (slots in
 /// increasing op order, the shape of both polish phases) *advance* the
-/// checkpoint incrementally; a *backward* seek restores the deepest
-/// still-valid entry of a per-layer checkpoint stack (one snapshot per
-/// `CompiledAnsatz::layer_starts` boundary, taken as forward advances
-/// cross it) and replays only from that boundary — falling back to a
-/// rebuild from `|0…0⟩` when no dominating snapshot survives, which is
-/// always correct, merely slower. Accepted moves invalidate exactly the
-/// snapshots past the earliest changed op, so every surviving entry is
-/// a true prefix state of the current base.
+/// prefix incrementally; a *backward* seek, or an accepted move below
+/// the prefix, restores the deepest still-valid entry of a per-layer
+/// snapshot stack and replays only from that boundary, rebuilding from
+/// `|0…0⟩` when no snapshot survives. The Clifford+T session
+/// ([`crate::KtPolishSession`]) runs the same cursor over a branch
+/// ensemble.
 ///
 /// # Determinism
 ///
@@ -638,8 +632,9 @@ pub type PolishMove = Vec<(usize, usize)>;
 /// [`CliffordObjective::evaluate`] of the patched configuration, at any
 /// engine width, including the term-sharded (≥ 4096 terms) path.
 /// Asserted by `crates/clifford/tests/incremental_equivalence.rs`,
-/// `crates/core/tests/polish_equivalence.rs` and the neighbor boundary
-/// cases in `crates/core/tests/term_sharding.rs`.
+/// `crates/core/tests/polish_equivalence.rs`,
+/// `crates/core/tests/prefix_cursor.rs` and the neighbor boundary cases
+/// in `crates/core/tests/term_sharding.rs`.
 pub struct PolishSession {
     core: Arc<EvalCore>,
     /// The objective's attached engine (`None` resolves to the global
@@ -647,24 +642,9 @@ pub struct PolishSession {
     /// mirroring [`CliffordObjective::evaluate_batch`]).
     engine: Option<ExecEngine>,
     base: Vec<usize>,
-    /// State after template ops `0..prefix_end` of `base`.
-    prefix: Arc<Tableau>,
-    prefix_end: usize,
+    cursor: PrefixCursor<Tableau>,
     scratch: EvalScratch,
     config_buf: Vec<usize>,
-    /// The template's layer boundaries (`CompiledAnsatz::layer_starts`),
-    /// strictly increasing, each in `1..ops.len()`.
-    layers: Vec<usize>,
-    /// Per-boundary snapshots: `stack[i]` (when `Some`) holds the state
-    /// after ops `0..layers[i]` of a configuration agreeing with `base`
-    /// on every parameter whose first op is `< layers[i]` — i.e. a valid
-    /// restore point for any seek target `>= layers[i]`.
-    stack: Vec<Option<Arc<Tableau>>>,
-    /// The A/B seam: `false` freezes the pre-stack behavior (backward
-    /// seeks always rebuild from `|0…0⟩`) for the frozen-reference bench.
-    use_stack: bool,
-    backward_seeks: u64,
-    stack_restores: u64,
 }
 
 impl PolishSession {
@@ -673,129 +653,21 @@ impl PolishSession {
         &self.base
     }
 
-    fn template(&self) -> &CompiledAnsatz {
-        self.core.template.as_ref().expect("polish sessions require a compiled template")
-    }
-
-    /// Disables (or re-enables) the layered checkpoint stack — the A/B
-    /// seam for the backward-seek bench. With the stack off, backward
-    /// seeks always rebuild the prefix from `|0…0⟩` (the pre-stack
-    /// behavior); results are bit-identical either way, only the seek
-    /// cost differs. Disabling drops any snapshots already taken.
-    pub fn with_checkpoint_stack(mut self, enabled: bool) -> Self {
-        self.use_stack = enabled;
-        if !enabled {
-            for slot in &mut self.stack {
-                *slot = None;
-            }
-        }
-        self
-    }
-
-    /// `(backward_seeks, stack_restores)`: how many seeks moved the
-    /// checkpoint backwards this session, and how many of those restored
-    /// a layer snapshot instead of rebuilding the prefix from `|0…0⟩`.
+    /// `(backward_seeks, stack_restores)`: how many seeks could not
+    /// reuse the running prefix this session, and how many of those
+    /// restored a layer snapshot instead of rebuilding the prefix from
+    /// `|0…0⟩`.
     pub fn seek_stats(&self) -> (u64, u64) {
-        (self.backward_seeks, self.stack_restores)
+        self.cursor.seek_stats()
     }
 
-    /// Moves the prefix checkpoint to exactly `start` ops: advancing
-    /// applies the missing base ops on top of the current checkpoint
-    /// (snapshotting each layer boundary it crosses); moving backwards
-    /// restores the deepest valid snapshot at or below `start` and
-    /// advances from there, rebuilding from `|0…0⟩` only when no
-    /// snapshot dominates the target.
-    fn seek(&mut self, start: usize) {
-        if start == self.prefix_end {
-            return;
-        }
-        if start < self.prefix_end {
-            self.backward_seeks += 1;
-            let mut restored = false;
-            if self.use_stack {
-                // Deepest Some entry whose boundary is ≤ the target.
-                for i in (0..self.layers.len()).rev() {
-                    if self.layers[i] > start {
-                        continue;
-                    }
-                    if let Some(ckpt) = &self.stack[i] {
-                        let ckpt = Arc::clone(ckpt);
-                        // The Arc is uniquely owned between batches
-                        // (engine shards drop their clones before `map`
-                        // returns), so make_mut stays in place.
-                        Arc::make_mut(&mut self.prefix).copy_from(&ckpt);
-                        self.prefix_end = self.layers[i];
-                        self.stack_restores += 1;
-                        restored = true;
-                        break;
-                    }
-                }
-            }
-            if !restored {
-                let core = Arc::clone(&self.core);
-                let template = core.template.as_ref().expect("checked at session creation");
-                // ops 0..0 of anything is |0…0⟩: a pure reset.
-                Arc::make_mut(&mut self.prefix).run_compiled_prefix(template, &self.base, 0);
-                self.prefix_end = 0;
-            }
-        }
-        self.advance_to(start);
-    }
-
-    /// Forward half of [`Self::seek`]: applies base ops
-    /// `prefix_end..start` on top of the checkpoint, segment by segment,
-    /// snapshotting the state into the stack at every layer boundary
-    /// crossed (so later backward seeks have restore points).
-    fn advance_to(&mut self, start: usize) {
-        debug_assert!(start >= self.prefix_end);
-        let core = Arc::clone(&self.core);
-        let template = core.template.as_ref().expect("checked at session creation");
-        while self.prefix_end < start {
-            let next = if self.use_stack {
-                self.layers.iter().position(|&b| b > self.prefix_end && b <= start)
-            } else {
-                None
-            };
-            let prefix = Arc::make_mut(&mut self.prefix);
-            match next {
-                Some(i) => {
-                    let boundary = self.layers[i];
-                    prefix.apply_range(template, &self.base, self.prefix_end, boundary);
-                    self.prefix_end = boundary;
-                    match &mut self.stack[i] {
-                        Some(ckpt) => Arc::make_mut(ckpt).copy_from(prefix),
-                        slot => *slot = Some(Arc::new(prefix.clone())),
-                    }
-                }
-                None => {
-                    prefix.apply_range(template, &self.base, self.prefix_end, start);
-                    self.prefix_end = start;
-                }
-            }
-        }
-    }
-
-    /// Applies an accepted move to the session base. Checkpoints at or
-    /// before the move's earliest affected op stay valid (the forward
-    /// sweep case); a checkpoint past it is rewound — and every stack
-    /// snapshot past it is dropped — so acceptance is always safe, in
-    /// any order.
+    /// Applies an accepted move to the session base. The cursor sees the
+    /// change at the next seek and drops whatever prefix state it
+    /// invalidates, so acceptance is always safe, in any order.
     pub fn accept(&mut self, mv: &[(usize, usize)]) {
-        let mut first = usize::MAX;
         for &(slot, value) in mv {
             self.base[slot] = value;
             self.config_buf[slot] = value;
-            first = first.min(self.template().first_op_of(slot));
-        }
-        // A snapshot at boundary b is a prefix state of the *new* base
-        // iff no changed parameter is read before b.
-        for (i, slot) in self.stack.iter_mut().enumerate() {
-            if self.layers[i] > first {
-                *slot = None;
-            }
-        }
-        if first < self.prefix_end {
-            self.seek(first);
         }
     }
 
@@ -815,14 +687,15 @@ impl PolishSession {
         if moves.is_empty() {
             return Vec::new();
         }
-        let ops_len = self.template().ops().len();
+        let template =
+            self.core.template.as_ref().expect("polish sessions require a compiled template");
         let start = moves
             .iter()
             .flat_map(|mv| mv.iter())
-            .map(|&(slot, _)| self.template().first_op_of(slot))
+            .map(|&(slot, _)| template.first_op_of(slot))
             .min()
-            .unwrap_or(ops_len);
-        self.seek(start);
+            .unwrap_or(template.ops().len());
+        self.cursor.seek(template, &self.base, start);
         // The same dispatch heuristic as `evaluate_batch`: tiny workloads
         // never pay engine dispatch (nor force the global pool into
         // existence).
@@ -841,7 +714,7 @@ impl PolishSession {
                     Some(engine) if self.core.terms.len() >= CHUNKED_TERM_THRESHOLD => {
                         self.core.evaluate_neighbor_on(
                             &mut self.scratch,
-                            &self.prefix,
+                            self.cursor.prefix(),
                             start,
                             &self.config_buf,
                             engine,
@@ -849,7 +722,7 @@ impl PolishSession {
                     }
                     _ => self.core.evaluate_neighbor(
                         &mut self.scratch,
-                        &self.prefix,
+                        self.cursor.prefix(),
                         start,
                         &self.config_buf,
                     ),
@@ -868,7 +741,7 @@ impl PolishSession {
             .chunks(chunk)
             .map(|chunk_moves| {
                 let core = Arc::clone(&self.core);
-                let prefix = Arc::clone(&self.prefix);
+                let prefix = Arc::clone(self.cursor.prefix());
                 let base = self.base.clone();
                 let chunk_moves: Vec<PolishMove> = chunk_moves.to_vec();
                 let engine = engine.clone();

@@ -152,9 +152,6 @@ use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishMove, P
 /// - [`IsingFastPath::Off`] disables routing entirely; use it to
 ///   measure the unrouted baseline or pin a legacy BO trace on an
 ///   Ising-class instance.
-/// - [`IsingFastPath::Force`] panics instead of falling back — for
-///   services that know their workload is Ising-class and want
-///   misclassification loud rather than 100× slower.
 ///
 /// On routed instances the result is an ordinary [`CafqaResult`]: the
 /// reduced-space winner and every provided seed are evaluated through
@@ -223,9 +220,7 @@ pub struct CafqaOptions {
     /// [`Auto`](IsingFastPath::Auto) (the default) routes classified
     /// instances through the reduced-space solver and everything else
     /// through the full search bit-for-bit unchanged;
-    /// [`Off`](IsingFastPath::Off) never routes;
-    /// [`Force`](IsingFastPath::Force) panics on unroutable instances.
-    /// See the [problem-structure
+    /// [`Off`](IsingFastPath::Off) never routes. See the [problem-structure
     /// routing](Self#problem-structure-routing) notes.
     pub ising_fast_path: IsingFastPath,
 }
@@ -437,9 +432,7 @@ impl CafqaJob {
     ///
     /// # Panics
     ///
-    /// Panics when [`CafqaOptions::ising_fast_path`] is
-    /// [`IsingFastPath::Force`] and the instance cannot route, or when a
-    /// seed has the wrong length.
+    /// Panics when a seed has the wrong length.
     pub fn new(
         objective: &CliffordObjective<'_>,
         seeds: &[Vec<usize>],

@@ -228,16 +228,6 @@ fn non_ising_inputs_pin_to_unrouted_run_cafqa() {
     }
 }
 
-/// `Force` is loud on unroutable instances instead of silently slow.
-#[test]
-#[should_panic(expected = "not Ising-class")]
-fn force_panics_on_non_ising_input() {
-    let h: PauliOp = "0.5*XX + 0.25*ZZ".parse().unwrap();
-    let ansatz = EfficientSu2::new(2, 1);
-    let opts = CafqaOptions { ising_fast_path: IsingFastPath::Force, ..tiny_opts() };
-    run_cafqa_on(&ExecEngine::serial(), &ansatz, &h, vec![], &[], &opts);
-}
-
 /// Routed runs keep the never-worse-than-seed guarantee: the seed is
 /// evaluated in the same batch and the first minimiser wins.
 #[test]

@@ -2,7 +2,7 @@
 //! errors that replace every panic on the serving path.
 
 use cafqa_circuit::{Ansatz, EfficientSu2};
-use cafqa_core::{classify_ising, CafqaOptions, CafqaResult, IsingFastPath, Penalty};
+use cafqa_core::{CafqaOptions, CafqaResult, Penalty};
 use cafqa_pauli::PauliOp;
 
 /// Opaque handle to a submitted job.
@@ -128,28 +128,6 @@ impl JobSpec {
                 });
             }
         }
-        // `IsingFastPath::Force` panics inside the runner when the
-        // instance cannot route — on a server that must become a
-        // rejection at the door. Accept Force only when routing is
-        // provably possible: no penalties, classified structure, and an
-        // ansatz that lifts eigenstates of the classified bases.
-        if self.opts.ising_fast_path == IsingFastPath::Force {
-            if !self.penalties.is_empty() {
-                return Err(ServeError::NotIsingClass {
-                    reason: "penalties require the full objective".into(),
-                });
-            }
-            let Some(form) = classify_ising(&self.hamiltonian) else {
-                return Err(ServeError::NotIsingClass {
-                    reason: "the Hamiltonian did not classify as Ising-class".into(),
-                });
-            };
-            if self.ansatz.eigenstate_config(0, &form.bases).is_none() {
-                return Err(ServeError::NotIsingClass {
-                    reason: "the ansatz has no eigenstate lift for the classified bases".into(),
-                });
-            }
-        }
         Ok(())
     }
 }
@@ -248,12 +226,6 @@ pub enum ServeError {
         /// weight", …).
         what: String,
     },
-    /// `IsingFastPath::Force` was requested for an instance that cannot
-    /// route (the runner would panic; the server rejects instead).
-    NotIsingClass {
-        /// Why the instance cannot take the fast path.
-        reason: String,
-    },
     /// The server is shutting down and accepts no new work.
     ShuttingDown,
     /// No job with this id was ever submitted.
@@ -280,9 +252,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::BadSeed { index, reason } => write!(f, "seed {index} {reason}"),
             ServeError::NonFinite { what } => write!(f, "{what} is not finite"),
-            ServeError::NotIsingClass { reason } => {
-                write!(f, "ising_fast_path = Force rejected: {reason}")
-            }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::UnknownJob(id) => write!(f, "unknown {id}"),
             ServeError::Cancelled(id) => write!(f, "{id} was cancelled"),
@@ -351,22 +320,5 @@ mod tests {
         bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), 1.0, 0.5));
         bad.penalties.push(PenaltySpec::new("sz", op(3, &[(1.0, "IZI")]), 0.0, f64::NAN));
         assert_eq!(bad.validate(), Err(ServeError::NonFinite { what: "penalty 1 weight".into() }));
-        // Force on a non-Ising instance rejects instead of panicking.
-        let mut bad = JobSpec::new(
-            ansatz.clone(),
-            op(3, &[(0.5, "XII"), (0.5, "ZII")]),
-            CafqaOptions::quick(),
-        );
-        bad.opts.ising_fast_path = IsingFastPath::Force;
-        assert!(matches!(bad.validate(), Err(ServeError::NotIsingClass { .. })));
-        // Force on a penalized instance rejects too.
-        let mut bad = good.clone();
-        bad.opts.ising_fast_path = IsingFastPath::Force;
-        bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), 1.0, 1.0));
-        assert!(matches!(bad.validate(), Err(ServeError::NotIsingClass { .. })));
-        // Force on a routable instance is accepted.
-        let mut ok = good.clone();
-        ok.opts.ising_fast_path = IsingFastPath::Force;
-        assert!(ok.validate().is_ok());
     }
 }
