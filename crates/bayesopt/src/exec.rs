@@ -1,7 +1,7 @@
 //! Pluggable parallel-execution backends for the search loop.
 //!
-//! The Bayesian-optimization layer shards surrogate scoring over worker
-//! threads, but it must not own those threads: the CAFQA runner owns one
+//! The Bayesian-optimization layer shards surrogate fits and scoring over
+//! worker threads, but it must not own those threads: the CAFQA runner owns one
 //! persistent execution engine for the whole search stack (see
 //! `cafqa_core::engine`), and spawning a second pool here would
 //! oversubscribe the host. This module defines the [`Executor`] seam the
@@ -51,7 +51,7 @@ impl Executor for SerialExec {
 
 /// Runs boxed tasks through `exec` and returns their results **in
 /// submission order** — the one shard→channel→merge implementation the
-/// whole stack shares (forest scoring here, `ExecEngine::map` in
+/// whole stack shares (forest fits and scoring here, `ExecEngine::map` in
 /// `cafqa_core`). Serial executors (and single tasks) run in order on
 /// the calling thread with identical results; parallel executors may
 /// complete in any order, and results are reassembled by index.

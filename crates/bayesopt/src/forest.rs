@@ -8,7 +8,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::exec::{map_jobs, Executor};
-use crate::tree::{GrowScratch, RegressionTree, TrainingSet, TreeOptions};
+use crate::tree::{RegressionTree, TrainingSet, TreeOptions};
 
 /// Random-forest options.
 #[derive(Debug, Clone)]
@@ -78,6 +78,12 @@ fn window_indices(ys: &[f64], window: usize) -> Vec<usize> {
     selected
 }
 
+/// The least work worth dispatching to an executor: `bootstrap · n_trees`
+/// samples for a fit, `configs · n_trees` tree traversals for a scoring
+/// pass. Smaller batches run on the calling thread, where they finish
+/// before a dispatch would.
+const INLINE_WORK: usize = 4096;
+
 /// A bagged ensemble of [`RegressionTree`]s.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
@@ -88,16 +94,34 @@ impl RandomForest {
     /// Fits the forest on the `(xs, ys)` pairs selected by
     /// [`ForestOptions::window`]: the whole history when `window` is `0`
     /// (or at least `ys.len()`), otherwise the most recent `window`
-    /// samples plus the incumbent. Bootstrap resampling draws only from
-    /// the selected indices, so the fit costs `O(n_trees · k · w · depth)`
-    /// in the window size `w`, not in the history length: every tree
-    /// level scans its `w` bootstrap samples once per sampled feature,
-    /// `k = √d + 1` of them per node by default.
+    /// samples plus the incumbent.
+    ///
+    /// The fit first draws one seed per tree from `rng` (so it consumes
+    /// exactly `n_trees` draws, whatever the data), and tree `t` then
+    /// draws its bootstrap and its split features from its own stream
+    /// seeded with seed `t`. Bootstrap resampling draws only from the
+    /// selected indices, and a tree grows over the distinct rows it drew,
+    /// each weighted by its draw count. So the fit costs
+    /// `O(n_trees · k · w · depth)` in the window size `w`, not in the
+    /// history length: every tree level scans its (at most `w`) rows once
+    /// per sampled feature, `k = √d + 1` of them per node by default.
     ///
     /// The selected rows are copied once into a column-major training
     /// set shared by all trees and dropped when the fit returns (the
-    /// growth kernel and its bit-identity invariant are documented in
+    /// growth kernel and its summation-order invariant are documented in
     /// `tree.rs`).
+    ///
+    /// # Executor contract
+    ///
+    /// Fits with at least 4096 bootstrap samples in total
+    /// (`bootstrap · n_trees`) split the trees into one contiguous shard
+    /// per `exec` worker and grow the shards as `exec` jobs, each with
+    /// its own scratch buffers; smaller fits grow inline on the calling
+    /// thread. Trees are reassembled in tree order, so the forest is
+    /// bit-identical at any executor width and for any job completion
+    /// order. Callers without an engine pass
+    /// [`SerialExec`](crate::SerialExec). A panic inside a job propagates
+    /// to the caller.
     ///
     /// # Panics
     ///
@@ -108,6 +132,7 @@ impl RandomForest {
         cardinalities: &[usize],
         opts: &ForestOptions,
         rng: &mut impl Rng,
+        exec: &dyn Executor,
     ) -> Self {
         assert!(!xs.is_empty(), "cannot fit a forest on no samples");
         assert_eq!(xs.len(), ys.len());
@@ -121,20 +146,24 @@ impl RandomForest {
             opts.feature_subsample
         };
         let tree_opts = TreeOptions { feature_subsample, ..opts.tree.clone() };
+        let seeds: Vec<u64> = (0..opts.n_trees).map(|_| rng.gen()).collect();
         // Row `j` of the training set is `selected[j]`, so a bootstrap
-        // draw of `j` picks the same sample, from the same RNG stream, as
-        // drawing `selected[j]` from the history.
-        let data = TrainingSet::new(xs, ys, &selected, cardinalities);
-        let mut scratch = GrowScratch::new(cardinalities);
-        let mut idx = Vec::with_capacity(boot);
-        let trees = (0..opts.n_trees)
-            .map(|_| {
-                idx.clear();
-                idx.extend((0..boot).map(|_| rng.gen_range(0..m)));
-                RegressionTree::fit_on(&data, &mut idx, &mut scratch, &tree_opts, rng)
+        // draw of `j` picks history sample `selected[j]`.
+        let data = Arc::new(TrainingSet::new(xs, ys, &selected, cardinalities));
+        let shards =
+            if boot.saturating_mul(opts.n_trees) < INLINE_WORK { 1 } else { exec.workers() };
+        let chunk = seeds.len().div_ceil(shards.max(1)).max(1);
+        let tasks: Vec<Box<dyn FnOnce() -> Vec<RegressionTree> + Send>> = seeds
+            .chunks(chunk)
+            .map(|shard| {
+                let data = Arc::clone(&data);
+                let shard = shard.to_vec();
+                let tree_opts = tree_opts.clone();
+                Box::new(move || RegressionTree::grow_seeded(&data, boot, &shard, &tree_opts))
+                    as Box<dyn FnOnce() -> Vec<RegressionTree> + Send>
             })
             .collect();
-        RandomForest { trees }
+        RandomForest { trees: map_jobs(exec, tasks).into_iter().flatten().collect() }
     }
 
     /// Mean prediction over the ensemble.
@@ -153,30 +182,33 @@ impl RandomForest {
     /// CAFQA runner passes its persistent worker-pool engine). Results
     /// are in input order and bit-identical to per-candidate calls at
     /// any worker count — each prediction is independent, and shard
-    /// results are reassembled by index. Small pools (where tree
-    /// traversal is cheaper than dispatch) stay on the calling thread.
+    /// results are reassembled by index. Pools with less than 4096 tree
+    /// traversals (`configs · n_trees`, the same dispatch bound as
+    /// [`Self::fit`]) stay on the calling thread.
     ///
-    /// Takes `Arc<Self>` because the executor's workers outlive this
-    /// call frame: shards carry an owned handle to the forest.
+    /// Takes both the forest and the pool behind an [`Arc`] because the
+    /// executor's workers outlive this call frame: each shard carries a
+    /// handle to both and scores its own index range, so nothing is
+    /// copied.
     pub fn predict_batch_on(
         self: &Arc<Self>,
-        configs: &[Vec<usize>],
+        configs: &Arc<Vec<Vec<usize>>>,
         exec: &dyn Executor,
     ) -> Vec<f64> {
-        // Tree traversals are cheap; only pools with substantial total
-        // work amortize the dispatch.
-        let shards = if configs.len() * self.trees.len() < 8192 { 1 } else { exec.workers() };
+        let shards =
+            if configs.len() * self.trees.len() < INLINE_WORK { 1 } else { exec.workers() };
         let shards = shards.min(configs.len());
         if shards <= 1 {
             return self.predict_batch(configs);
         }
         let chunk = configs.len().div_ceil(shards);
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>> = configs
-            .chunks(chunk)
-            .map(|chunk_configs| {
+        let tasks: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>> = (0..configs.len())
+            .step_by(chunk)
+            .map(|start| {
                 let forest = Arc::clone(self);
-                let chunk_configs: Vec<Vec<usize>> = chunk_configs.to_vec();
-                Box::new(move || forest.predict_batch(&chunk_configs))
+                let configs = Arc::clone(configs);
+                let range = start..(start + chunk).min(configs.len());
+                Box::new(move || forest.predict_batch(&configs[range]))
                     as Box<dyn FnOnce() -> Vec<f64> + Send>
             })
             .collect();
@@ -198,7 +230,7 @@ impl RandomForest {
         groups: &[Vec<Vec<usize>>],
         exec: &dyn Executor,
     ) -> Vec<f64> {
-        let flat: Vec<Vec<usize>> = groups.iter().flatten().cloned().collect();
+        let flat: Arc<Vec<Vec<usize>>> = Arc::new(groups.iter().flatten().cloned().collect());
         let predictions = self.predict_batch_on(&flat, exec);
         let mut cursor = 0usize;
         groups
@@ -224,7 +256,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Job;
+    use crate::exec::{Job, SerialExec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -239,7 +271,8 @@ mod tests {
             xs.push(x);
             ys.push(y);
         }
-        let forest = RandomForest::fit(&xs, &ys, &[4; 6], &ForestOptions::default(), &mut rng);
+        let forest =
+            RandomForest::fit(&xs, &ys, &[4; 6], &ForestOptions::default(), &mut rng, &SerialExec);
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut sse_forest = 0.0;
         let mut sse_mean = 0.0;
@@ -274,10 +307,17 @@ mod tests {
         let xs: Vec<Vec<usize>> =
             (0..300).map(|_| (0..8).map(|_| rng.gen_range(0..4usize)).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<usize>() as f64).collect();
-        let forest =
-            Arc::new(RandomForest::fit(&xs, &ys, &[4; 8], &ForestOptions::default(), &mut rng));
-        let pool: Vec<Vec<usize>> =
-            (0..512).map(|_| (0..8).map(|_| rng.gen_range(0..4usize)).collect()).collect();
+        let forest = Arc::new(RandomForest::fit(
+            &xs,
+            &ys,
+            &[4; 8],
+            &ForestOptions::default(),
+            &mut rng,
+            &SerialExec,
+        ));
+        let pool: Arc<Vec<Vec<usize>>> = Arc::new(
+            (0..512).map(|_| (0..8).map(|_| rng.gen_range(0..4usize)).collect()).collect(),
+        );
         // Forced executor widths exercise the sharded path on any host;
         // the reversed executor proves order-independence of the merge.
         for workers in [4usize, 16] {
@@ -286,7 +326,7 @@ mod tests {
                 assert_eq!(predicted.to_bits(), forest.predict(config).to_bits());
             }
         }
-        let serial = forest.predict_batch_on(&pool, &crate::SerialExec);
+        let serial = forest.predict_batch_on(&pool, &SerialExec);
         assert_eq!(serial.len(), pool.len());
         assert_eq!(forest.predict_batch(&pool), serial);
     }
@@ -307,9 +347,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let xs: Vec<Vec<usize>> = (0..50).map(|i| vec![i % 4, (i / 4) % 4]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x[0] as f64).collect();
-        let forest =
-            Arc::new(RandomForest::fit(&xs, &ys, &[4, 4], &ForestOptions::default(), &mut rng));
-        let pool: Vec<Vec<usize>> = (0..16).map(|i| vec![i % 4, (i / 4) % 4]).collect();
+        let forest = Arc::new(RandomForest::fit(
+            &xs,
+            &ys,
+            &[4, 4],
+            &ForestOptions::default(),
+            &mut rng,
+            &SerialExec,
+        ));
+        let pool: Arc<Vec<Vec<usize>>> =
+            Arc::new((0..16).map(|i| vec![i % 4, (i / 4) % 4]).collect());
         assert_eq!(forest.predict_batch_on(&pool, &PanicExec), forest.predict_batch(&pool));
     }
 
@@ -319,14 +366,20 @@ mod tests {
         let xs: Vec<Vec<usize>> =
             (0..200).map(|_| (0..6).map(|_| rng.gen_range(0..4usize)).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<usize>() as f64).collect();
-        let forest =
-            Arc::new(RandomForest::fit(&xs, &ys, &[4; 6], &ForestOptions::default(), &mut rng));
+        let forest = Arc::new(RandomForest::fit(
+            &xs,
+            &ys,
+            &[4; 6],
+            &ForestOptions::default(),
+            &mut rng,
+            &SerialExec,
+        ));
         let groups: Vec<Vec<Vec<usize>>> = (0..40)
             .map(|g| (0..16).map(|k| (0..6).map(|i| (g + k + i) % 4).collect()).collect())
             .collect();
         // Sharded scores equal the serial per-group fold, bit for bit,
         // through an order-scrambling executor.
-        for exec in [&ReversedThreadExec(6) as &dyn Executor, &crate::SerialExec] {
+        for exec in [&ReversedThreadExec(6) as &dyn Executor, &SerialExec] {
             let scores = forest.predict_group_min_on(&groups, exec);
             assert_eq!(scores.len(), groups.len());
             for (group, &score) in groups.iter().zip(&scores) {
@@ -337,7 +390,7 @@ mod tests {
         }
         // Empty groups score +∞ (rank last), without disturbing others.
         let with_empty = vec![groups[0].clone(), Vec::new(), groups[1].clone()];
-        let scores = forest.predict_group_min_on(&with_empty, &crate::SerialExec);
+        let scores = forest.predict_group_min_on(&with_empty, &SerialExec);
         assert_eq!(scores[1], f64::INFINITY);
         assert!(scores[0].is_finite() && scores[2].is_finite());
     }
@@ -381,7 +434,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(3);
         let opts = ForestOptions { window: 20, ..Default::default() };
-        let forest = RandomForest::fit(&xs, &ys, &[4, 4], &opts, &mut rng);
+        let forest = RandomForest::fit(&xs, &ys, &[4, 4], &opts, &mut rng, &SerialExec);
         // Every training target is either −10 or 5, so no prediction can
         // come anywhere near the forgotten 100.0 plateau.
         for probe in [[3usize, 3], [1, 1], [0, 0]] {
@@ -394,7 +447,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let xs: Vec<Vec<usize>> = (0..50).map(|i| vec![i % 4, (i / 4) % 4]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x[0] as f64).collect();
-        let forest = RandomForest::fit(&xs, &ys, &[4, 4], &ForestOptions::default(), &mut rng);
+        let forest =
+            RandomForest::fit(&xs, &ys, &[4, 4], &ForestOptions::default(), &mut rng, &SerialExec);
         let (m, s) = forest.predict_with_std(&[2, 1]);
         assert!(m.is_finite() && s >= 0.0);
     }

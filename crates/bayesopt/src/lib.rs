@@ -11,7 +11,7 @@
 //! warm-up arrives as one embarrassingly-parallel batch and the
 //! acquisition proposes the top-B predicted candidates per surrogate
 //! refit ([`BoOptions::proposals_per_refit`]), so callers can shard
-//! evaluation over a worker pool. Surrogate scoring itself shards over
+//! evaluation over a worker pool. Surrogate fits and scoring shard over
 //! the [`Executor`] seam — `cafqa_core`'s persistent engine implements
 //! it, [`SerialExec`] is the dependency-free default. At Cr2 scale the
 //! refit *itself* is bounded by [`ForestOptions::window`] (fit on a

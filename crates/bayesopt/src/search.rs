@@ -85,10 +85,13 @@ impl SearchSpace {
 /// 1. **Every** configuration is deterministic given
 ///    [`seed`](Self::seed): the same options and objective produce the
 ///    same trace, bit for bit, on any host — and executor width never
-///    matters ([`minimize_with`] shards only independent per-candidate
-///    work, reassembled in submission order). Driving a [`BoSearch`] by
-///    hand is the same loop, so it is bit-identical too, however long
-///    the caller pauses between batches.
+///    matters. [`minimize_with`] shards only independent work and
+///    reassembles it in submission order: per-candidate predictions,
+///    and the forest's trees, each grown from its own RNG stream seeded
+///    by one draw of the search RNG per tree (see
+///    [`RandomForest::fit`]). Driving a [`BoSearch`] by hand is the same
+///    loop, so it is bit-identical too, however long the caller pauses
+///    between batches.
 /// 2. `B = 1` reproduces the classic one-candidate-per-refit loop
 ///    exactly (same RNG draws, same `min_by` tie-breaks, same
 ///    `refit_every` staleness).
@@ -123,8 +126,8 @@ pub struct BoOptions {
     /// is 4; at H2O scale an evaluation costs tens of microseconds and a
     /// refit milliseconds, so even at 4 the refit and acquisition take
     /// ~97 % of the loop's wall time (a traced `perfbench` `h2o_sweep`
-    /// on 2 cores: 8.2 ms per refit, 11.1 s of surrogate work against
-    /// 0.36 s of objective).
+    /// on 2 cores, trees grown on both: 6.0 ms per refit, 8.1 s of
+    /// surrogate work against 0.22 s of objective).
     pub proposals_per_refit: usize,
     /// Random-forest options, including the refit
     /// [`window`](ForestOptions::window) (see the [determinism and refit
@@ -190,8 +193,8 @@ pub struct BoResult {
 /// runner evaluate whole warm-up phases and acquisition batches on its
 /// worker-pool engine. `seeds` are evaluated first (CAFQA seeds the
 /// Hartree-Fock configuration, guaranteeing the result is never worse
-/// than HF). Surrogate scoring runs serially; use [`minimize_with`] to
-/// shard it over an [`Executor`].
+/// than HF). The surrogate runs serially; use [`minimize_with`] to
+/// shard its fit and scoring over an [`Executor`].
 ///
 /// # Examples
 ///
@@ -224,11 +227,12 @@ pub fn minimize(
     minimize_with(space, objective, seeds, opts, &SerialExec)
 }
 
-/// [`minimize`] with surrogate scoring sharded over `exec` (the CAFQA
-/// runner passes its persistent worker-pool engine). The trajectory is
-/// bit-identical to [`minimize`] at any executor width: predictions are
-/// independent per candidate and reassembled in pool order. This is a
-/// short loop over [`BoSearch`].
+/// [`minimize`] with surrogate fitting and scoring sharded over `exec`
+/// (the CAFQA runner passes its persistent worker-pool engine). The
+/// trajectory is bit-identical to [`minimize`] at any executor width:
+/// trees grow from their own RNG streams and predictions are independent
+/// per candidate, and both are reassembled in order. This is a short
+/// loop over [`BoSearch`].
 pub fn minimize_with(
     space: &SearchSpace,
     mut objective: impl FnMut(&[Vec<usize>]) -> Vec<f64>,
@@ -338,7 +342,7 @@ impl BoSearch {
     /// The next batch to evaluate — the seeds + warm-up phase first, then
     /// one acquisition cycle of at most
     /// [`proposals_per_refit`](BoOptions::proposals_per_refit) candidates
-    /// (surrogate scoring sharded over `exec`) — or `None` once the
+    /// (surrogate fit and scoring sharded over `exec`) — or `None` once the
     /// iteration budget is spent or patience ran out. Batches are never
     /// empty. Calling it again before [`observe`](Self::observe) returns
     /// the same batch.
@@ -434,8 +438,8 @@ impl BoSearch {
             return (0..batch_size).map(|_| space.sample(rng)).collect();
         }
         if self.forest.is_none() || self.cycle % opts.refit_every.max(1) == 0 {
-            self.forest =
-                Some(Arc::new(RandomForest::fit(xs, ys, &space.cardinalities, &opts.forest, rng)));
+            let forest = RandomForest::fit(xs, ys, &space.cardinalities, &opts.forest, rng, exec);
+            self.forest = Some(Arc::new(forest));
         }
         let model = self.forest.as_ref().expect("fitted above");
         // Candidate pool: incumbent mutations + uniform samples. The pool
@@ -460,6 +464,7 @@ impl BoSearch {
         while pool.len() < pool_size {
             pool.push(space.sample(rng));
         }
+        let pool = Arc::new(pool);
         // Acquisition: the surrogate ranks the whole pool once (a stale
         // forest still scores the *current* pool), then each of the
         // `batch_size` proposal slots draws ε-greedy: explore → uniform

@@ -4,36 +4,56 @@
 //!
 //! A forest fit copies its training rows once into a column-major
 //! [`TrainingSet`] (`u32` feature values, plus `ys` and the precomputed
-//! squares `ys[i] * ys[i]`) shared by every tree, and reuses one
-//! [`GrowScratch`] (feature permutation, per-value buckets, partition
-//! staging, the node's `(y, y²)`) across every node of every tree. Each tree grows over one
-//! index buffer: a split partitions the node's slice in place, stably,
-//! and the children recurse on the two halves. Nothing is allocated per
-//! node except the node itself.
+//! squares `ys[i] * ys[i]`) shared by every tree. A tree's bootstrap is a
+//! weight per row: the number of times the row was drawn. The tree grows
+//! over the *distinct* drawn rows only (about 63% of the draws), in
+//! ascending row order, over one index buffer: a split partitions the
+//! node's slice in place, stably, and the children recurse on the two
+//! halves. One [`GrowScratch`] (row weights, feature permutation,
+//! per-value buckets, partition staging, the node's weighted terms) is
+//! reused across every node of every tree a worker grows. Nothing is
+//! allocated per node except the node itself.
 //!
 //! # Summation-order invariant
 //!
-//! The fitted trees are bit-identical to the original row-major kernel
-//! (frozen in the bench crate and pinned by its `forest_equivalence`
-//! suite), and that rests on every floating-point sum adding its terms
-//! in the same order:
+//! A fitted tree is a pure function of the training set, its bootstrap
+//! draws and its own RNG stream, pinned bit for bit by the frozen
+//! reference fit in the bench crate (`forest_equivalence`). That rests
+//! on every floating-point sum adding its terms in a fixed order:
 //!
-//! - a node's mean and SSE add `ys[i]` over the node's index slice in
-//!   slice order;
-//! - each bucket's `sum`/`sumsq` adds its samples' terms in slice order,
-//!   starting from `+0.0`, and the bucket totals fold over the buckets in
-//!   value order;
-//! - the partition is stable, so each child's slice keeps its parent's
-//!   order.
+//! - every node sum is weighted: the node's weight adds `w` (an integer),
+//!   its mean adds `w·y` and its SSE `w·(y − mean)²`, over the node's
+//!   index slice in slice order;
+//! - each bucket's `count`/`sum`/`sumsq` adds `w`/`w·y`/`w·y²` in slice
+//!   order, starting from `+0.0`, and the bucket totals fold over the
+//!   buckets in value order; `min_leaf` bounds the weight, not the
+//!   number of distinct rows;
+//! - the root slice is the distinct rows in ascending order, and the
+//!   partition is stable, so each child's slice keeps its parent's order.
 //!
-//! So a child's buckets must be recounted from its own samples: deriving
-//! them by histogram subtraction (parent minus sibling), or reusing a
-//! parent's sums in any other way, changes the rounding and therefore
-//! the trees. The RNG draws are ordered too: the `k` feature draws of a
-//! node precede its children's, and the left subtree grows before the
-//! right.
+//! In exact arithmetic a weighted tree is the tree the duplicate list of
+//! the same draws would grow; only the rounding differs, and with it the
+//! tie-breaks (the `forest_v2` proptests in the bench crate checks
+//! node-for-node equality on dyadic targets, where every sum is exact).
+//!
+//! The RNG draws are ordered too: a tree's bootstrap draws precede its
+//! feature draws, the `k` feature draws of a node precede its children's,
+//! and the left subtree grows before the right. Each tree draws from its
+//! own stream (see `RandomForest::fit`), so trees do not depend on one
+//! another and may grow on any thread in any order.
+//!
+//! # Why no histogram subtraction
+//!
+//! A child's buckets are recounted from its own samples rather than
+//! derived as parent minus sibling. Subtraction would change the
+//! rounding, and it would not pay here anyway: a node scans only the
+//! `k = √d + 1` features it samples (7 of 48 at H2O), and its children
+//! sample their own, mostly different, features. Keeping every feature's
+//! histogram to subtract from would cost about `d / k` times the
+//! recount it saves.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A binary regression tree node.
 #[derive(Debug, Clone)]
@@ -53,7 +73,7 @@ enum Node {
 /// Tree growth options.
 #[derive(Debug, Clone)]
 pub struct TreeOptions {
-    /// Minimum samples in a leaf.
+    /// Minimum sample weight (bootstrap draws) in a leaf.
     pub min_leaf: usize,
     /// Maximum depth.
     pub max_depth: usize,
@@ -73,25 +93,26 @@ pub struct RegressionTree {
     root: Node,
 }
 
-/// Training rows in column-major form, built once per fit.
-pub(crate) struct TrainingSet<'a> {
+/// Training rows in column-major form, built once per fit and shared by
+/// every tree (and every worker) of the fit.
+pub(crate) struct TrainingSet {
     /// `cols[f * n + j]`: feature `f` of row `j`.
     cols: Vec<u32>,
     n: usize,
     ys: Vec<f64>,
     /// `ys[j] * ys[j]`, the same bits as the inline product.
     ysq: Vec<f64>,
-    cards: &'a [usize],
+    cards: Vec<usize>,
 }
 
-impl<'a> TrainingSet<'a> {
+impl TrainingSet {
     /// Copies `rows` of `(xs, ys)` (row `j` of the set is
     /// `rows[j]` of the input) restricted to the `cards.len()` features.
     ///
     /// # Panics
     ///
     /// Panics if a feature value does not fit in a `u32`.
-    pub(crate) fn new(xs: &[Vec<usize>], ys: &[f64], rows: &[usize], cards: &'a [usize]) -> Self {
+    pub(crate) fn new(xs: &[Vec<usize>], ys: &[f64], rows: &[usize], cards: &[usize]) -> Self {
         let n = rows.len();
         let mut cols = Vec::with_capacity(n * cards.len());
         for f in 0..cards.len() {
@@ -102,7 +123,7 @@ impl<'a> TrainingSet<'a> {
         }
         let ys: Vec<f64> = rows.iter().map(|&r| ys[r]).collect();
         let ysq = ys.iter().map(|y| y * y).collect();
-        TrainingSet { cols, n, ys, ysq, cards }
+        TrainingSet { cols, n, ys, ysq, cards: cards.to_vec() }
     }
 
     fn column(&self, f: usize) -> &[u32] {
@@ -118,24 +139,41 @@ struct Bucket {
     sumsq: f64,
 }
 
-/// Buffers reused across every node of every tree in one fit.
-pub(crate) struct GrowScratch {
+/// Buffers reused across every node of every tree one worker grows.
+struct GrowScratch {
+    /// Bootstrap weight of each row for the tree being grown.
+    weights: Vec<usize>,
+    /// The tree's distinct rows, reordered by the growth.
+    rows: Vec<usize>,
     features: Vec<usize>,
     buckets: Vec<Bucket>,
     right: Vec<usize>,
-    /// `(ys[i], ysq[i])` of the node's samples, in slice order.
-    node_ys: Vec<(f64, f64)>,
+    /// `(w, w·y, w·y²)` of the node's rows, in slice order.
+    node: Vec<(usize, f64, f64)>,
 }
 
 impl GrowScratch {
-    pub(crate) fn new(cards: &[usize]) -> Self {
-        let max_card = cards.iter().copied().max().unwrap_or(0);
+    fn new(data: &TrainingSet) -> Self {
+        let max_card = data.cards.iter().copied().max().unwrap_or(0);
         GrowScratch {
-            features: Vec::with_capacity(cards.len()),
+            weights: vec![0; data.n],
+            rows: Vec::new(),
+            features: Vec::with_capacity(data.cards.len()),
             buckets: vec![Bucket::default(); max_card],
             right: Vec::new(),
-            node_ys: Vec::new(),
+            node: Vec::new(),
         }
+    }
+
+    /// Turns a list of row draws into per-row weights and the ascending
+    /// list of distinct drawn rows.
+    fn weigh(&mut self, draws: impl Iterator<Item = usize>) {
+        self.weights.fill(0);
+        for row in draws {
+            self.weights[row] += 1;
+        }
+        self.rows.clear();
+        self.rows.extend((0..self.weights.len()).filter(|&row| self.weights[row] > 0));
     }
 }
 
@@ -158,7 +196,9 @@ fn partition(idx: &mut [usize], col: &[u32], threshold: usize, right: &mut Vec<u
 }
 
 impl RegressionTree {
-    /// Fits a tree on `(xs[i], ys[i])` pairs restricted to `indices`.
+    /// Fits a tree on `(xs[i], ys[i])` pairs restricted to `indices`. An
+    /// index listed `w` times weighs `w` (a bootstrap sample with
+    /// repeats).
     ///
     /// # Panics
     ///
@@ -174,20 +214,44 @@ impl RegressionTree {
         assert_eq!(xs.len(), ys.len());
         let rows: Vec<usize> = (0..xs.len()).collect();
         let data = TrainingSet::new(xs, ys, &rows, cardinalities);
-        Self::fit_on(&data, &mut indices.to_vec(), &mut GrowScratch::new(cardinalities), opts, rng)
+        let mut scratch = GrowScratch::new(&data);
+        scratch.weigh(indices.iter().copied());
+        Self::grow_tree(&data, &mut scratch, opts, rng)
     }
 
-    /// Fits a tree on the rows of `data` listed in `idx`, which the
-    /// growth reorders.
-    pub(crate) fn fit_on(
-        data: &TrainingSet<'_>,
-        idx: &mut [usize],
+    /// Grows one tree per seed on `data`, reusing one scratch: tree `t`
+    /// draws `boot` rows uniformly with replacement from the stream
+    /// seeded with `seeds[t]`, then its split features from the same
+    /// stream.
+    pub(crate) fn grow_seeded(
+        data: &TrainingSet,
+        boot: usize,
+        seeds: &[u64],
+        opts: &TreeOptions,
+    ) -> Vec<Self> {
+        let mut scratch = GrowScratch::new(data);
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                scratch.weigh((0..boot).map(|_| rng.gen_range(0..data.n)));
+                Self::grow_tree(data, &mut scratch, opts, &mut rng)
+            })
+            .collect()
+    }
+
+    /// Grows a tree on the rows and weights held in `scratch`.
+    fn grow_tree(
+        data: &TrainingSet,
         scratch: &mut GrowScratch,
         opts: &TreeOptions,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(!idx.is_empty(), "cannot fit a tree on no samples");
-        RegressionTree { root: grow(data, idx, scratch, opts, rng, 0) }
+        let mut rows = std::mem::take(&mut scratch.rows);
+        assert!(!rows.is_empty(), "cannot fit a tree on no samples");
+        let root = grow(data, &mut rows, scratch, opts, rng, 0);
+        scratch.rows = rows;
+        RegressionTree { root }
     }
 
     /// Predicted value for a configuration.
@@ -205,27 +269,32 @@ impl RegressionTree {
 }
 
 fn grow(
-    data: &TrainingSet<'_>,
+    data: &TrainingSet,
     idx: &mut [usize],
     scratch: &mut GrowScratch,
     opts: &TreeOptions,
     rng: &mut impl Rng,
     depth: usize,
 ) -> Node {
-    // The node's `(y, y²)` in slice order: the same terms, in the same
-    // order, as reading `ys[i]` through `idx`, but contiguous.
-    let node_ys = &mut scratch.node_ys;
-    node_ys.clear();
-    node_ys.extend(idx.iter().map(|&i| (data.ys[i], data.ysq[i])));
-    let mean = node_ys.iter().map(|&(y, _)| y).sum::<f64>() / idx.len() as f64;
-    if idx.len() < 2 * opts.min_leaf || depth >= opts.max_depth {
+    // The node's weighted terms in slice order, contiguous.
+    let weights = &scratch.weights;
+    let node = &mut scratch.node;
+    node.clear();
+    node.extend(idx.iter().map(|&i| {
+        let w = weights[i];
+        (w, w as f64 * data.ys[i], w as f64 * data.ysq[i])
+    }));
+    let weight: usize = node.iter().map(|&(w, _, _)| w).sum();
+    let mean = node.iter().map(|&(_, wy, _)| wy).sum::<f64>() / weight as f64;
+    if weight < 2 * opts.min_leaf || depth >= opts.max_depth {
         return Node::Leaf { value: mean };
     }
-    let parent_sse: f64 = node_ys.iter().map(|&(y, _)| (y - mean).powi(2)).sum();
+    let parent_sse: f64 =
+        idx.iter().map(|&i| weights[i] as f64 * (data.ys[i] - mean).powi(2)).sum();
     if parent_sse < 1e-18 {
         return Node::Leaf { value: mean };
     }
-    let cards = data.cards;
+    let cards = &data.cards;
     let d = cards.len();
     let k = if opts.feature_subsample == 0 { d } else { opts.feature_subsample.min(d) };
     // Sample k distinct features.
@@ -242,18 +311,18 @@ fn grow(
         if card < 2 {
             continue;
         }
-        // Bucket statistics per feature value.
+        // Weighted bucket statistics per feature value.
         let col = data.column(f);
         let buckets = &mut scratch.buckets[..card];
         buckets.fill(Bucket::default());
-        for (&i, &(y, ysq)) in idx.iter().zip(node_ys.iter()) {
+        for (&i, &(w, wy, wysq)) in idx.iter().zip(node.iter()) {
             let bucket = &mut buckets[col[i] as usize];
-            bucket.count += 1;
-            bucket.sum += y;
-            bucket.sumsq += ysq;
+            bucket.count += w;
+            bucket.sum += wy;
+            bucket.sumsq += wysq;
         }
         // Prefix scan over thresholds.
-        let total_n = idx.len() as f64;
+        let total_n = weight as f64;
         let total_sum: f64 = buckets.iter().map(|b| b.sum).sum();
         let total_sumsq: f64 = buckets.iter().map(|b| b.sumsq).sum();
         let mut ln = 0.0;

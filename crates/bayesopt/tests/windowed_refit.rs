@@ -5,7 +5,7 @@
 //! randomness, so the bootstrap indices, the tree structure and every
 //! prediction are unchanged.
 
-use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace};
+use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace, SerialExec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +36,7 @@ fn fit_with_window(
 ) -> (RandomForest, StdRng) {
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let opts = ForestOptions { window, ..Default::default() };
-    let forest = RandomForest::fit(xs, ys, &[CARD; DIMS], &opts, &mut rng);
+    let forest = RandomForest::fit(xs, ys, &[CARD; DIMS], &opts, &mut rng, &SerialExec);
     (forest, rng)
 }
 

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace};
+use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace, SerialExec};
 use cafqa_chem::{BasisSet, Element, Molecule};
 use cafqa_circuit::{Ansatz, EfficientSu2};
 use cafqa_clifford::Tableau;
@@ -115,7 +115,14 @@ fn bench_forest_fit(c: &mut Criterion) {
     let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<usize>() as f64).collect();
     c.bench_function("forest_fit_500x40", |b| {
         b.iter(|| {
-            black_box(RandomForest::fit(&xs, &ys, &[4; 40], &ForestOptions::default(), &mut rng))
+            black_box(RandomForest::fit(
+                &xs,
+                &ys,
+                &[4; 40],
+                &ForestOptions::default(),
+                &mut rng,
+                &SerialExec,
+            ))
         })
     });
 }

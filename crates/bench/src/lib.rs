@@ -7,7 +7,9 @@ mod reference_kt;
 mod reference_mapping;
 mod reference_search;
 
-pub use reference_forest::{reference_forest_fit, ReferenceForest};
+pub use reference_forest::{
+    reference_forest_fit, reference_v1_tree, ReferenceForest, ReferenceTree,
+};
 pub use reference_kt::{reference_kt, ReferenceKtResult};
 pub use reference_mapping::{bitwise_diff, reference_qubit_hamiltonian};
 pub use reference_search::{

@@ -1,19 +1,25 @@
-//! Frozen pre-optimization random-forest fit.
+//! Frozen random-forest fits.
 //!
-//! `cafqa_bayesopt::RandomForest::fit` was rewritten to grow its trees
-//! over a column-major copy of the features, with reused bucket and
-//! partition buffers, instead of row-major `xs[i][f]` reads, per-feature
-//! bucket `Vec`s and per-split child index `Vec`s. The rewrite's contract
-//! is a *bit-identical* forest: the same trees, `to_bits`-equal
-//! predictions, and the RNG left in the same state. This module freezes
-//! the original tree growth and forest fit verbatim so the
-//! `forest_equivalence` suite, the search equivalence tests (through
-//! [`crate::reference_minimize`]) and the `forest_fit` A/B always compare
-//! against the genuine original, no matter how the production fit
-//! evolves.
+//! `cafqa_bayesopt::RandomForest::fit` grows its trees over a column-major
+//! copy of the features with reused buffers, shards the trees over an
+//! executor, and weights each tree's distinct bootstrap rows by their draw
+//! counts. Its contract is a *bit-identical* forest: the same trees,
+//! `to_bits`-equal predictions, and the caller's RNG left in the same
+//! state. This module freezes that fit's semantics in the plainest form —
+//! serial, row-major, per-node index `Vec`s — as
+//! [`reference_forest_fit`], so the `forest_equivalence` suite, the search
+//! equivalence tests (through [`crate::reference_minimize`]) and the
+//! `forest_fit` A/B always compare against it, no matter how the
+//! production fit evolves.
+//!
+//! It also keeps the original (v1) tree growth over a duplicate-list
+//! bootstrap, [`reference_v1_tree`], as the oracle of the `forest_v2`
+//! proptest: on targets where every sum is exact, weighting a row by its
+//! draw count must grow the same tree as listing it that many times.
 
 use cafqa_bayesopt::{ForestOptions, TreeOptions};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A binary regression tree node.
 #[derive(Debug, Clone)]
@@ -30,90 +36,6 @@ enum Node {
     },
 }
 
-fn mean(ys: &[f64], idx: &[usize]) -> f64 {
-    idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64
-}
-
-fn sse(ys: &[f64], idx: &[usize]) -> f64 {
-    let m = mean(ys, idx);
-    idx.iter().map(|&i| (ys[i] - m).powi(2)).sum()
-}
-
-fn grow(
-    xs: &[Vec<usize>],
-    ys: &[f64],
-    idx: &[usize],
-    cards: &[usize],
-    opts: &TreeOptions,
-    rng: &mut impl Rng,
-    depth: usize,
-) -> Node {
-    if idx.len() < 2 * opts.min_leaf || depth >= opts.max_depth {
-        return Node::Leaf { value: mean(ys, idx) };
-    }
-    let parent_sse = sse(ys, idx);
-    if parent_sse < 1e-18 {
-        return Node::Leaf { value: mean(ys, idx) };
-    }
-    let d = cards.len();
-    let k = if opts.feature_subsample == 0 { d } else { opts.feature_subsample.min(d) };
-    // Sample k distinct features.
-    let mut features: Vec<usize> = (0..d).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..d);
-        features.swap(i, j);
-    }
-    let mut best: Option<(usize, usize, f64)> = None;
-    for &f in &features[..k] {
-        let card = cards[f];
-        if card < 2 {
-            continue;
-        }
-        // Bucket statistics per feature value.
-        let mut count = vec![0usize; card];
-        let mut sum = vec![0.0; card];
-        let mut sumsq = vec![0.0; card];
-        for &i in idx {
-            let v = xs[i][f];
-            count[v] += 1;
-            sum[v] += ys[i];
-            sumsq[v] += ys[i] * ys[i];
-        }
-        // Prefix scan over thresholds.
-        let total_n = idx.len() as f64;
-        let total_sum: f64 = sum.iter().sum();
-        let total_sumsq: f64 = sumsq.iter().sum();
-        let mut ln = 0.0;
-        let mut ls = 0.0;
-        let mut lss = 0.0;
-        for t in 0..card - 1 {
-            ln += count[t] as f64;
-            ls += sum[t];
-            lss += sumsq[t];
-            let rn = total_n - ln;
-            if (ln as usize) < opts.min_leaf || (rn as usize) < opts.min_leaf {
-                continue;
-            }
-            let left_sse = lss - ls * ls / ln;
-            let right_sse = (total_sumsq - lss) - (total_sum - ls).powi(2) / rn;
-            let gain = parent_sse - left_sse - right_sse;
-            if best.map_or(true, |(_, _, g)| gain > g) && gain > 1e-15 {
-                best = Some((f, t, gain));
-            }
-        }
-    }
-    match best {
-        None => Node::Leaf { value: mean(ys, idx) },
-        Some((feature, threshold, _)) => {
-            let (li, ri): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
-            let left = grow(xs, ys, &li, cards, opts, rng, depth + 1);
-            let right = grow(xs, ys, &ri, cards, opts, rng, depth + 1);
-            Node::Split { feature, threshold, left: Box::new(left), right: Box::new(right) }
-        }
-    }
-}
-
 fn predict_node(root: &Node, config: &[usize]) -> f64 {
     let mut node = root;
     loop {
@@ -126,10 +48,195 @@ fn predict_node(root: &Node, config: &[usize]) -> f64 {
     }
 }
 
-/// The original windowed index selection: the `window` most recent
-/// samples plus the incumbent (earliest minimum of `ys`, NaN excluded)
-/// when it precedes the window; all indices for `window == 0` or
-/// `window >= ys.len()`.
+/// Draws `k` distinct features of `d` by a partial Fisher–Yates shuffle.
+fn sample_features(d: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut features: Vec<usize> = (0..d).collect();
+    for i in 0..k {
+        let j = rng.gen_range(i..d);
+        features.swap(i, j);
+    }
+    features.truncate(k);
+    features
+}
+
+/// The best `(feature, threshold)` split from per-value bucket counts,
+/// sums and sums of squares, or `None` when no split gains more than
+/// `1e-15`. `best` carries the running best across features.
+#[allow(clippy::too_many_arguments)]
+fn scan_thresholds(
+    feature: usize,
+    count: &[usize],
+    sum: &[f64],
+    sumsq: &[f64],
+    total_n: f64,
+    parent_sse: f64,
+    min_leaf: usize,
+    best: &mut Option<(usize, usize, f64)>,
+) {
+    let total_sum: f64 = sum.iter().sum();
+    let total_sumsq: f64 = sumsq.iter().sum();
+    let mut ln = 0.0;
+    let mut ls = 0.0;
+    let mut lss = 0.0;
+    for t in 0..count.len() - 1 {
+        ln += count[t] as f64;
+        ls += sum[t];
+        lss += sumsq[t];
+        let rn = total_n - ln;
+        if (ln as usize) < min_leaf || (rn as usize) < min_leaf {
+            continue;
+        }
+        let left_sse = lss - ls * ls / ln;
+        let right_sse = (total_sumsq - lss) - (total_sum - ls).powi(2) / rn;
+        let gain = parent_sse - left_sse - right_sse;
+        if best.map_or(true, |(_, _, g)| gain > g) && gain > 1e-15 {
+            *best = Some((feature, t, gain));
+        }
+    }
+}
+
+/// The v2 tree growth: `idx` lists distinct rows, row `i` weighing
+/// `w[i]`; every node sum is weighted.
+#[allow(clippy::too_many_arguments)]
+fn grow(
+    xs: &[Vec<usize>],
+    ys: &[f64],
+    w: &[usize],
+    idx: &[usize],
+    cards: &[usize],
+    opts: &TreeOptions,
+    rng: &mut impl Rng,
+    depth: usize,
+) -> Node {
+    let weight: usize = idx.iter().map(|&i| w[i]).sum();
+    let mean = idx.iter().map(|&i| w[i] as f64 * ys[i]).sum::<f64>() / weight as f64;
+    if weight < 2 * opts.min_leaf || depth >= opts.max_depth {
+        return Node::Leaf { value: mean };
+    }
+    let parent_sse: f64 = idx.iter().map(|&i| w[i] as f64 * (ys[i] - mean).powi(2)).sum();
+    if parent_sse < 1e-18 {
+        return Node::Leaf { value: mean };
+    }
+    let d = cards.len();
+    let k = if opts.feature_subsample == 0 { d } else { opts.feature_subsample.min(d) };
+    let mut best: Option<(usize, usize, f64)> = None;
+    for f in sample_features(d, k, rng) {
+        let card = cards[f];
+        if card < 2 {
+            continue;
+        }
+        let mut count = vec![0usize; card];
+        let mut sum = vec![0.0; card];
+        let mut sumsq = vec![0.0; card];
+        for &i in idx {
+            let v = xs[i][f];
+            count[v] += w[i];
+            sum[v] += w[i] as f64 * ys[i];
+            sumsq[v] += w[i] as f64 * (ys[i] * ys[i]);
+        }
+        let total_n = weight as f64;
+        scan_thresholds(f, &count, &sum, &sumsq, total_n, parent_sse, opts.min_leaf, &mut best);
+    }
+    match best {
+        None => Node::Leaf { value: mean },
+        Some((feature, threshold, _)) => {
+            let (li, ri): (Vec<usize>, Vec<usize>) =
+                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
+            let left = grow(xs, ys, w, &li, cards, opts, rng, depth + 1);
+            let right = grow(xs, ys, w, &ri, cards, opts, rng, depth + 1);
+            Node::Split { feature, threshold, left: Box::new(left), right: Box::new(right) }
+        }
+    }
+}
+
+/// The v1 tree growth, over a duplicate list: a row drawn `w` times is
+/// listed `w` times, and every node sum adds each copy.
+fn grow_v1(
+    xs: &[Vec<usize>],
+    ys: &[f64],
+    idx: &[usize],
+    cards: &[usize],
+    opts: &TreeOptions,
+    rng: &mut impl Rng,
+    depth: usize,
+) -> Node {
+    let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
+    if idx.len() < 2 * opts.min_leaf || depth >= opts.max_depth {
+        return Node::Leaf { value: mean };
+    }
+    let parent_sse: f64 = idx.iter().map(|&i| (ys[i] - mean).powi(2)).sum();
+    if parent_sse < 1e-18 {
+        return Node::Leaf { value: mean };
+    }
+    let d = cards.len();
+    let k = if opts.feature_subsample == 0 { d } else { opts.feature_subsample.min(d) };
+    let mut best: Option<(usize, usize, f64)> = None;
+    for f in sample_features(d, k, rng) {
+        let card = cards[f];
+        if card < 2 {
+            continue;
+        }
+        let mut count = vec![0usize; card];
+        let mut sum = vec![0.0; card];
+        let mut sumsq = vec![0.0; card];
+        for &i in idx {
+            let v = xs[i][f];
+            count[v] += 1;
+            sum[v] += ys[i];
+            sumsq[v] += ys[i] * ys[i];
+        }
+        let total_n = idx.len() as f64;
+        scan_thresholds(f, &count, &sum, &sumsq, total_n, parent_sse, opts.min_leaf, &mut best);
+    }
+    match best {
+        None => Node::Leaf { value: mean },
+        Some((feature, threshold, _)) => {
+            let (li, ri): (Vec<usize>, Vec<usize>) =
+                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
+            let left = grow_v1(xs, ys, &li, cards, opts, rng, depth + 1);
+            let right = grow_v1(xs, ys, &ri, cards, opts, rng, depth + 1);
+            Node::Split { feature, threshold, left: Box::new(left), right: Box::new(right) }
+        }
+    }
+}
+
+/// A single tree grown by [`reference_v1_tree`]. Its `Debug` form prints
+/// the nodes exactly as `RegressionTree`'s does, so two trees can be
+/// compared node for node by their renderings.
+#[derive(Debug, Clone)]
+pub struct ReferenceTree {
+    root: Node,
+}
+
+impl ReferenceTree {
+    /// Predicted value for a configuration.
+    pub fn predict(&self, config: &[usize]) -> f64 {
+        predict_node(&self.root, config)
+    }
+}
+
+/// The v1 tree growth: a tree on `(xs[i], ys[i])` over the duplicate
+/// list `indices`, in list order, drawing its split features from `rng`.
+///
+/// # Panics
+///
+/// Panics if `indices` is empty.
+pub fn reference_v1_tree(
+    xs: &[Vec<usize>],
+    ys: &[f64],
+    indices: &[usize],
+    cardinalities: &[usize],
+    opts: &TreeOptions,
+    rng: &mut impl Rng,
+) -> ReferenceTree {
+    assert!(!indices.is_empty(), "cannot fit a tree on no samples");
+    ReferenceTree { root: grow_v1(xs, ys, indices, cardinalities, opts, rng, 0) }
+}
+
+/// The windowed index selection: the `window` most recent samples plus
+/// the incumbent (earliest minimum of `ys`, NaN excluded) when it
+/// precedes the window; all indices for `window == 0` or
+/// `window >= ys.len()`. Always ascending.
 fn window_indices(ys: &[f64], window: usize) -> Vec<usize> {
     let n = ys.len();
     if window == 0 || window >= n {
@@ -170,8 +277,10 @@ impl ReferenceForest {
     }
 }
 
-/// The original `RandomForest::fit`: bootstrap indices drawn from the
-/// window selection, one row-major tree growth per tree.
+/// The v2 `RandomForest::fit`, serial: one seed per tree drawn from
+/// `rng` up front, then per tree, from its own stream, `boot` bootstrap
+/// draws from the window selection and a weighted growth over the
+/// distinct rows drawn, in ascending order.
 ///
 /// # Panics
 ///
@@ -195,11 +304,17 @@ pub fn reference_forest_fit(
         opts.feature_subsample
     };
     let tree_opts = TreeOptions { feature_subsample, ..opts.tree.clone() };
-    let trees = (0..opts.n_trees)
-        .map(|_| {
-            let idx: Vec<usize> = (0..boot).map(|_| selected[rng.gen_range(0..m)]).collect();
-            assert!(!idx.is_empty(), "cannot fit a tree on no samples");
-            grow(xs, ys, &idx, cardinalities, &tree_opts, rng, 0)
+    let seeds: Vec<u64> = (0..opts.n_trees).map(|_| rng.gen()).collect();
+    let trees = seeds
+        .into_iter()
+        .map(|seed| {
+            let mut tree_rng = StdRng::seed_from_u64(seed);
+            let mut w = vec![0usize; xs.len()];
+            for _ in 0..boot {
+                w[selected[tree_rng.gen_range(0..m)]] += 1;
+            }
+            let idx: Vec<usize> = selected.iter().copied().filter(|&i| w[i] > 0).collect();
+            grow(xs, ys, &w, &idx, cardinalities, &tree_opts, &mut tree_rng, 0)
         })
         .collect();
     ReferenceForest { trees }

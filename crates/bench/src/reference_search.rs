@@ -11,9 +11,9 @@
 //! genuine pre-refactor semantics to compare against, no matter how the
 //! production code evolves.
 //!
-//! The surrogate is the frozen [`reference_forest_fit`], so the search
-//! equivalence tests pin the production forest against the original one
-//! end to end. Everything else goes through the *public* API of the
+//! The surrogate is the frozen serial [`reference_forest_fit`] (v2:
+//! per-tree RNG streams and weighted bootstrap rows), so the search
+//! equivalence tests pin the production forest against it end to end. Everything else goes through the *public* API of the
 //! production crates (`evaluate`), relying on the already-tested
 //! invariant that batched evaluation equals serial evaluation
 //! bit-for-bit.

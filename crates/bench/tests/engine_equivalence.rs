@@ -6,8 +6,10 @@
 //!    batched `minimize` / `run_cafqa` reproduce the frozen pre-refactor
 //!    serial implementations ([`cafqa_bench::reference_minimize`],
 //!    [`cafqa_bench::reference_run_cafqa`]) trace-for-trace. The frozen
-//!    loop fits the frozen [`cafqa_bench::reference_forest_fit`], so this
-//!    also pins the production surrogate against the original one.
+//!    loop fits the frozen serial [`cafqa_bench::reference_forest_fit`]
+//!    (surrogate v2: per-tree RNG streams, weighted bootstrap rows), so
+//!    this also pins the production surrogate, whose trees grow as
+//!    engine jobs, against it.
 //! 2. **Worker-count invariance** — the same search on engines of 1, 2
 //!    and 8 workers yields the same `CafqaResult` (energy, trace,
 //!    iterations_to_best), at any batch size.

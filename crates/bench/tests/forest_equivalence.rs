@@ -1,6 +1,7 @@
 //! Forest-fit equivalence suite (tier-1): the production
-//! `RandomForest::fit` must reproduce the frozen row-major
-//! `reference_forest_fit` **bit for bit** — `to_bits`-equal predictions
+//! `RandomForest::fit` must reproduce the frozen, serial, row-major
+//! `reference_forest_fit` (per-tree RNG streams, weighted bootstrap
+//! rows) **bit for bit** — `to_bits`-equal predictions
 //! on every probe, and the RNG left in the same state, so the next draw
 //! after the fit is the same — on random histories that cover empty and
 //! single-feature spaces, every cardinality class the searches use (1, 2,
@@ -9,7 +10,7 @@
 //! with the incumbent outside them, explicit bootstrap sizes and
 //! feature subsamples larger than `d`.
 
-use cafqa_bayesopt::{ForestOptions, RandomForest, RegressionTree, TreeOptions};
+use cafqa_bayesopt::{ForestOptions, RandomForest, RegressionTree, SerialExec, TreeOptions};
 use cafqa_bench::reference_forest_fit;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,7 +86,7 @@ fn probes(history: &History, seed: u64) -> Vec<Vec<usize>> {
 fn compare(history: &History, opts: &ForestOptions, seed: u64) -> Result<(), String> {
     let History { xs, ys, cards } = history;
     let mut rng = StdRng::seed_from_u64(seed);
-    let forest = RandomForest::fit(xs, ys, cards, opts, &mut rng);
+    let forest = RandomForest::fit(xs, ys, cards, opts, &mut rng, &SerialExec);
     let mut reference_rng = StdRng::seed_from_u64(seed);
     let reference = reference_forest_fit(xs, ys, cards, opts, &mut reference_rng);
     if rng.next_u64() != reference_rng.next_u64() {
@@ -149,7 +150,7 @@ proptest! {
 
     /// `RegressionTree::fit` on explicit indices is the same tree as a
     /// one-tree reference forest that drew those indices as its
-    /// bootstrap.
+    /// bootstrap, from the tree stream seeded by its one seed draw.
     #[test]
     fn single_trees_match_one_tree_reference_forests(
         seed in 0u64..u64::MAX,
@@ -165,9 +166,10 @@ proptest! {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        let mut tree_rng = StdRng::seed_from_u64(rng.gen());
+        let idx: Vec<usize> = (0..n).map(|_| tree_rng.gen_range(0..n)).collect();
         let tree_opts = TreeOptions { feature_subsample: k, ..opts.tree.clone() };
-        let tree = RegressionTree::fit(&history.xs, &history.ys, &idx, &history.cards, &tree_opts, &mut rng);
+        let tree = RegressionTree::fit(&history.xs, &history.ys, &idx, &history.cards, &tree_opts, &mut tree_rng);
         let mut reference_rng = StdRng::seed_from_u64(seed);
         let reference =
             reference_forest_fit(&history.xs, &history.ys, &history.cards, &opts, &mut reference_rng);

@@ -343,7 +343,7 @@ pub fn run_cafqa(
 }
 
 /// [`run_cafqa`] on an explicit [`ExecEngine`]: every parallel step of
-/// the search — warm-up, acquisition batches, surrogate scoring, polish
+/// the search — warm-up, acquisition batches, surrogate fits and scoring, polish
 /// sweeps — dispatches through this one engine, and the result is
 /// bit-identical at any worker count (including a serial engine). This
 /// is a loop over [`CafqaJob::step`].
@@ -798,7 +798,8 @@ fn screened_pairs(
     // deterministic phase.
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5C_4EE4);
     let forest_opts = ForestOptions { window: opts.forest_window, ..Default::default() };
-    let forest = Arc::new(RandomForest::fit(&xs, &ys, &cardinalities, &forest_opts, &mut rng));
+    let forest =
+        Arc::new(RandomForest::fit(&xs, &ys, &cardinalities, &forest_opts, &mut rng, engine));
     let groups: Vec<Vec<Vec<usize>>> = full
         .iter()
         .map(|&(i, j)| {

@@ -43,6 +43,18 @@ impl PenaltySpec {
     }
 }
 
+/// The most objective evaluations a job may budget:
+/// `warmup + iterations` of its [`CafqaOptions`]. The search allocates
+/// its warm-up batch up front, and an allocation failure aborts the whole
+/// process instead of failing the job, so absurd budgets are rejected at
+/// admission ([`ServeError::OverBudget`]).
+pub const MAX_EVALUATIONS: usize = 1 << 20;
+
+/// The most proposals a job may evaluate per surrogate refit
+/// ([`CafqaOptions::proposals_per_refit`]): each acquisition cycle holds
+/// a candidate pool of 96 configurations per proposal.
+pub const MAX_PROPOSALS_PER_REFIT: usize = 1 << 10;
+
 /// A complete CAFQA job submission. The server owns everything it runs
 /// (the ansatz is the concrete [`EfficientSu2`] so specs are `Send` and
 /// hashable), and every field participates in the job's content
@@ -111,6 +123,15 @@ impl JobSpec {
                     ansatz: nq,
                     found: p.op.num_qubits(),
                 });
+            }
+        }
+        let evaluations = self.opts.warmup.saturating_add(self.opts.iterations);
+        for (what, value, cap) in [
+            ("warmup + iterations", evaluations, MAX_EVALUATIONS),
+            ("proposals_per_refit", self.opts.proposals_per_refit, MAX_PROPOSALS_PER_REFIT),
+        ] {
+            if value > cap {
+                return Err(ServeError::OverBudget { what, value, cap });
             }
         }
         let d = self.ansatz.num_parameters();
@@ -226,6 +247,16 @@ pub enum ServeError {
         /// weight", …).
         what: String,
     },
+    /// A budget option exceeds its fixed cap ([`MAX_EVALUATIONS`],
+    /// [`MAX_PROPOSALS_PER_REFIT`]).
+    OverBudget {
+        /// Which budget ("warmup + iterations", "proposals_per_refit").
+        what: &'static str,
+        /// The submitted value (saturated at `usize::MAX`).
+        value: usize,
+        /// The cap it exceeds.
+        cap: usize,
+    },
     /// The server is shutting down and accepts no new work.
     ShuttingDown,
     /// No job with this id was ever submitted.
@@ -252,6 +283,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::BadSeed { index, reason } => write!(f, "seed {index} {reason}"),
             ServeError::NonFinite { what } => write!(f, "{what} is not finite"),
+            ServeError::OverBudget { what, value, cap } => {
+                write!(f, "{what} of {value} exceeds the cap of {cap}")
+            }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::UnknownJob(id) => write!(f, "unknown {id}"),
             ServeError::Cancelled(id) => write!(f, "{id} was cancelled"),
@@ -320,5 +354,48 @@ mod tests {
         bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), 1.0, 0.5));
         bad.penalties.push(PenaltySpec::new("sz", op(3, &[(1.0, "IZI")]), 0.0, f64::NAN));
         assert_eq!(bad.validate(), Err(ServeError::NonFinite { what: "penalty 1 weight".into() }));
+    }
+
+    #[test]
+    fn validation_caps_the_search_budget() {
+        // Validation only: none of these specs is ever run, so nothing
+        // of their budget is allocated.
+        let ansatz = EfficientSu2::new(3, 1);
+        let good = JobSpec::new(ansatz, op(3, &[(1.0, "ZZI")]), CafqaOptions::quick());
+        let with = |opts: CafqaOptions| JobSpec { opts, ..good.clone() };
+        let quick = CafqaOptions::quick();
+        let over = |what, value, cap| Err(ServeError::OverBudget { what, value, cap });
+        let budget = "warmup + iterations";
+        // At the caps: admitted.
+        let at_cap = CafqaOptions {
+            warmup: MAX_EVALUATIONS - 7,
+            iterations: 7,
+            proposals_per_refit: MAX_PROPOSALS_PER_REFIT,
+            ..quick.clone()
+        };
+        assert_eq!(with(at_cap.clone()).validate(), Ok(()));
+        // One past a cap, from either budget term.
+        let warmup = CafqaOptions { warmup: at_cap.warmup + 1, ..at_cap.clone() };
+        assert_eq!(with(warmup).validate(), over(budget, MAX_EVALUATIONS + 1, MAX_EVALUATIONS));
+        let iterations = CafqaOptions { iterations: 8, ..at_cap.clone() };
+        assert_eq!(with(iterations).validate(), over(budget, MAX_EVALUATIONS + 1, MAX_EVALUATIONS));
+        let proposals =
+            CafqaOptions { proposals_per_refit: MAX_PROPOSALS_PER_REFIT + 1, ..at_cap.clone() };
+        assert_eq!(
+            with(proposals).validate(),
+            over("proposals_per_refit", MAX_PROPOSALS_PER_REFIT + 1, MAX_PROPOSALS_PER_REFIT)
+        );
+        // `usize::MAX` everywhere, including a sum that would overflow.
+        for (warmup, iterations) in [(usize::MAX, 0), (0, usize::MAX), (usize::MAX, usize::MAX)] {
+            let opts = CafqaOptions { warmup, iterations, ..quick.clone() };
+            assert_eq!(with(opts).validate(), over(budget, usize::MAX, MAX_EVALUATIONS));
+        }
+        let opts = CafqaOptions { proposals_per_refit: usize::MAX, ..quick.clone() };
+        assert_eq!(
+            with(opts).validate(),
+            over("proposals_per_refit", usize::MAX, MAX_PROPOSALS_PER_REFIT)
+        );
+        let message = ServeError::OverBudget { what: budget, value: 9, cap: 8 }.to_string();
+        assert_eq!(message, "warmup + iterations of 9 exceeds the cap of 8");
     }
 }

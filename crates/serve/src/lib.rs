@@ -67,5 +67,8 @@ mod cache;
 mod job;
 mod server;
 
-pub use job::{Disposition, JobId, JobOutcome, JobSpec, JobStatus, PenaltySpec, ServeError};
+pub use job::{
+    Disposition, JobId, JobOutcome, JobSpec, JobStatus, PenaltySpec, ServeError, MAX_EVALUATIONS,
+    MAX_PROPOSALS_PER_REFIT,
+};
 pub use server::{CafqaServer, ServeOptions, ServerStats};

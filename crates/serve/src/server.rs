@@ -710,6 +710,34 @@ mod tests {
     }
 
     #[test]
+    fn over_budget_submissions_are_rejected_and_the_server_keeps_serving() {
+        use crate::job::{MAX_EVALUATIONS, MAX_PROPOSALS_PER_REFIT};
+        let (ansatz, h, opts) = three_qubit_job();
+        let engine = ExecEngine::new(2);
+        let serve_opts = ServeOptions { warm_start: false, ..Default::default() };
+        let mut server = CafqaServer::start(engine.clone(), serve_opts);
+        // Rejected at admission: none of these budgets is ever allocated.
+        let over = [
+            CafqaOptions { warmup: 1 << 40, ..opts.clone() },
+            CafqaOptions { warmup: usize::MAX, iterations: usize::MAX, ..opts.clone() },
+            CafqaOptions { iterations: MAX_EVALUATIONS + 1 - opts.warmup, ..opts.clone() },
+            CafqaOptions { proposals_per_refit: usize::MAX, ..opts.clone() },
+            CafqaOptions { proposals_per_refit: MAX_PROPOSALS_PER_REFIT + 1, ..opts.clone() },
+        ];
+        for bad in over {
+            let rejected = server.submit(JobSpec::new(ansatz.clone(), h.clone(), bad));
+            assert!(matches!(rejected, Err(ServeError::OverBudget { .. })), "{rejected:?}");
+        }
+        let id = server.submit(JobSpec::new(ansatz.clone(), h.clone(), opts.clone())).unwrap();
+        let served = server.wait(id).unwrap();
+        let solo = run_cafqa_on(&engine, &ansatz, &h, vec![], &[], &opts);
+        assert_matches_solo(&served.result, &solo);
+        let stats = server.stats();
+        assert_eq!((stats.rejected, stats.submitted, stats.completed), (5, 1, 1));
+        server.shutdown();
+    }
+
+    #[test]
     fn wait_timeout_returns_none_while_a_job_is_queued() {
         let (ansatz, h, opts) = three_qubit_job();
         let engine = ExecEngine::new(2);
