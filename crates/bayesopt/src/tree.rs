@@ -29,7 +29,12 @@
 //!   buckets in value order; `min_leaf` bounds the weight, not the
 //!   number of distinct rows;
 //! - the root slice is the distinct rows in ascending order, and the
-//!   partition is stable, so each child's slice keeps its parent's order.
+//!   partition is stable, so each child's slice keeps its parent's order;
+//! - the threshold scan adds every bucket into its prefix, empty ones
+//!   included (so no sign of zero moves), but evaluates the gain only
+//!   after a nonempty bucket: an empty bucket repeats the previous
+//!   threshold's split and gain, which the strict `gain > best` never
+//!   takes.
 //!
 //! In exact arithmetic a weighted tree is the tree the duplicate list of
 //! the same draws would grow; only the rounding differs, and with it the
@@ -332,6 +337,11 @@ fn grow(
             ln += bucket.count as f64;
             ls += bucket.sum;
             lss += bucket.sumsq;
+            if bucket.count == 0 {
+                // The same split as the previous threshold: an equal gain,
+                // which the strict `gain > best` below never takes.
+                continue;
+            }
             let rn = total_n - ln;
             if (ln as usize) < opts.min_leaf || (rn as usize) < opts.min_leaf {
                 continue;

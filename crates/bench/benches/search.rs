@@ -16,7 +16,9 @@
 //! reduced-space solve vs the full BO pipeline, in instances/second),
 //! a job sliced by the job server vs the same job run solo, the
 //! 34-qubit Cr2 Hamiltonian builder vs its frozen operator-algebra
-//! original, the H2O-scale surrogate refit vs its frozen row-major
+//! original, the whole Cr2 chemistry chain (integrals, SCF, active
+//! space, mapping, tapering) vs its frozen original, the H2O-scale
+//! surrogate refit vs its frozen row-major
 //! original, and the bit-sliced Hamiltonian sum vs the row-wise
 //! per-term sum on H6 and Cr2 polish neighbours.
 //!
@@ -30,9 +32,9 @@ use std::time::{Duration, Instant};
 
 use cafqa_bayesopt::{minimize, BoOptions, ForestOptions, RandomForest, SearchSpace};
 use cafqa_bench::{
-    bitwise_diff, reference_evaluate_batch_spawn, reference_expectation_pauli,
-    reference_forest_fit, reference_kt, reference_polish, reference_qubit_hamiltonian,
-    ReferenceGenerators,
+    bitwise_diff, reference_chem_pipeline, reference_evaluate_batch_spawn,
+    reference_expectation_pauli, reference_forest_fit, reference_kt, reference_polish,
+    reference_problem, reference_qubit_hamiltonian, ReferenceGenerators,
 };
 use cafqa_chem::mapping::Mapping;
 use cafqa_chem::{qubit_hamiltonian, ChemPipeline, MoleculeKind, ScfKind};
@@ -2102,6 +2104,110 @@ fn bench_hamiltonian_build_cr2(_: &mut Criterion) {
     assert!(speedup >= 4.0, "new builder only {speedup:.2}x the reference (gate 4x)");
 }
 
+/// The chemistry chain A/B on the 34-qubit Cr2 surrogate at the two
+/// literal bonds the Cr2 bond benchmark runs, 2.85 Å (both SCF attempts
+/// fail: 900 iterations, best effort kept) and 3.8 Å (converges on the
+/// robust retry): `ChemPipeline::build` + `problem` in the default sector
+/// (pair-hoisted integrals, streaming Fock build, slice-access Jacobi,
+/// hashed flat Hamiltonian accumulation, flat tapering) vs the frozen
+/// `reference_chem_pipeline` + `reference_problem`.
+///
+/// Rounds alternate the two chains so host-speed drift hits both alike;
+/// the first round warms up and is not timed. Every round asserts the
+/// same SCF iterations and convergence, bit-identical SCF energy and
+/// coefficients, bit-identical tapered H/N/Sz/S² and `hf_energy`. The
+/// gate requires a median speedup ≥ 1.5× at each bond; the numbers land
+/// in `BENCH_search.json`.
+fn bench_chem_pipeline_cr2(_: &mut Criterion) {
+    const GROUP: &str = "chem_pipeline_cr2_34q";
+    const ROUNDS: usize = 3;
+    if !filter_matches(GROUP) {
+        return;
+    }
+    let kind = MoleculeKind::Cr2Surrogate;
+    let mut fields = Vec::new();
+    let mut speedups = Vec::new();
+    for bond in [2.85, 3.8] {
+        let (mut new_s, mut reference_s) = (Vec::new(), Vec::new());
+        let (mut terms, mut iterations) = (0, 0);
+        for round in 0..=ROUNDS {
+            let t = Instant::now();
+            let pipe = ChemPipeline::build(kind, bond, &ScfKind::Rhf).expect("Cr2 chemistry");
+            let (na, nb) = pipe.default_sector();
+            let problem = pipe.problem(na, nb, false).expect("Cr2 problem");
+            let built_s = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let chem = reference_chem_pipeline(kind, bond, &ScfKind::Rhf).expect("Cr2 chemistry");
+            let reference = reference_problem(&chem.spin_integrals, na, nb);
+            let ref_s = t.elapsed().as_secs_f64();
+            let what = format!("{bond} Å round {round}");
+            assert_eq!(
+                (pipe.scf.iterations, pipe.scf_converged),
+                (chem.scf.iterations, chem.scf_converged),
+                "{what}: SCF iterations"
+            );
+            assert_eq!(pipe.scf.energy.to_bits(), chem.scf.energy.to_bits(), "{what}: SCF energy");
+            let coefficient_bits = |m: &cafqa_linalg::Matrix| -> Vec<u64> {
+                m.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(
+                coefficient_bits(&pipe.scf.coefficients),
+                coefficient_bits(&chem.scf.coefficients),
+                "{what}: SCF coefficients"
+            );
+            for (label, built, frozen) in [
+                ("H", &problem.hamiltonian, &reference.hamiltonian),
+                ("N", &problem.number_op, &reference.number_op),
+                ("Sz", &problem.sz_op, &reference.sz_op),
+                ("S²", &problem.s_squared_op, &reference.s_squared_op),
+            ] {
+                if let Err(diff) = bitwise_diff(built, frozen) {
+                    panic!("{what}, {label}: {diff}");
+                }
+            }
+            assert_eq!(
+                problem.hf_energy.to_bits(),
+                reference.hf_energy.to_bits(),
+                "{what}: hf_energy"
+            );
+            terms = problem.hamiltonian.num_terms();
+            iterations = pipe.scf.iterations;
+            if round > 0 {
+                new_s.push(built_s);
+                reference_s.push(ref_s);
+            }
+        }
+        let median = |values: &mut Vec<f64>| {
+            values.sort_by(f64::total_cmp);
+            values[values.len() / 2]
+        };
+        let (new_s, reference_s) = (median(&mut new_s), median(&mut reference_s));
+        let speedup = reference_s / new_s;
+        fields.push(format!(
+            "\"terms_{bond}A\": {terms}, \"scf_iterations_{bond}A\": {iterations}, \
+             \"new_s_{bond}A\": {new_s:.3}, \"reference_s_{bond}A\": {reference_s:.3}, \
+             \"speedup_{bond}A\": {speedup:.2}"
+        ));
+        println!(
+            "{GROUP} {bond} Å: {terms} terms, {iterations} SCF iterations; new {new_s:.3} s vs \
+             reference {reference_s:.3} s ({speedup:.2}x, median of {ROUNDS}), bit-identical"
+        );
+        speedups.push((bond, speedup));
+    }
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    record_bench_json(
+        GROUP,
+        format!(
+            "{{\"host_cores\": {host_cores}, \"rounds\": {ROUNDS}, {}, \"gate\": 1.5, \
+             \"bit_identical\": true}}",
+            fields.join(", ")
+        ),
+    );
+    for (bond, speedup) in speedups {
+        assert!(speedup >= 1.5, "{bond} Å: new chain only {speedup:.2}x the reference (gate 1.5x)");
+    }
+}
+
 /// The surrogate-refit A/B at H2O scale: `RandomForest::fit` on a
 /// 2-worker engine (column-major features, reused buffers, trees grown
 /// as engine jobs from their own RNG streams) vs the frozen serial,
@@ -2342,7 +2448,7 @@ criterion_group! {
               bench_incremental_polish, bench_kt_tableau_vs_dense,
               bench_kt_engine_vs_reference, bench_kt_screened_vs_exact,
               bench_ising_fast_path, bench_served_sliced_vs_solo,
-              bench_hamiltonian_build_cr2, bench_forest_fit_h2o,
+              bench_hamiltonian_build_cr2, bench_chem_pipeline_cr2, bench_forest_fit_h2o,
               bench_sliced_vs_rowwise_sum
 }
 criterion_main!(search);

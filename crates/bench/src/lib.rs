@@ -2,11 +2,18 @@
 //! kernels and search loops the A/B benchmarks and equivalence tests
 //! compare against.
 
+mod reference_chem;
 mod reference_forest;
 mod reference_kt;
 mod reference_mapping;
 mod reference_search;
 
+pub use reference_chem::{
+    reference_boys, reference_btree_qubit_hamiltonian, reference_chem_pipeline,
+    reference_compute_ao_integrals, reference_eigh, reference_fock_2e,
+    reference_inv_sqrt_symmetric, reference_problem, reference_rhf, reference_taper_two_qubits,
+    reference_uhf, ReferenceChem, ReferenceProblem,
+};
 pub use reference_forest::{
     reference_forest_fit, reference_v1_tree, ReferenceForest, ReferenceTree,
 };

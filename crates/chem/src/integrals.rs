@@ -3,6 +3,20 @@
 //! Implements the one-electron (overlap, kinetic, nuclear attraction) and
 //! two-electron repulsion integrals through Hermite Gaussian expansions,
 //! valid for arbitrary angular momentum (the built-in basis uses s and p).
+//!
+//! # Summation order
+//!
+//! The AO integrals are pinned bit for bit against the frozen original in
+//! the bench crate (`chem_equivalence`). A contracted ERI sums
+//! `c_a c_b c_c c_d [ab|cd]` over the primitives of `a`, `b`, `c`, `d`,
+//! outermost first, with the coefficient product formed left to right;
+//! a primitive ERI sums its Hermite terms in `(t, u, v, τ, ν, φ)` order.
+//! [`compute_ao_integrals`] hoists everything that depends on one side of
+//! a quartet — exponent sum, product center, Hermite coefficients per
+//! axis, `c_a c_b` — into a table of primitive pairs built once per AO
+//! pair, and computes `2π^{5/2}` once; each hoisted value is the same
+//! expression on the same operands, so no bit moves. The Boys table of a
+//! quartet lives on the stack.
 
 use cafqa_linalg::Matrix;
 
@@ -15,11 +29,18 @@ use crate::geometry::Molecule;
 /// small `t` and the asymptotic value plus upward recursion for large `t`.
 pub fn boys(m_max: usize, t: f64) -> Vec<f64> {
     let mut f = vec![0.0; m_max + 1];
+    boys_into(t, &mut f);
+    f
+}
+
+/// [`boys`] into a caller's table: `f[m] = F_m(t)` for `m < f.len()`.
+fn boys_into(t: f64, f: &mut [f64]) {
+    let m_max = f.len() - 1;
     if t < 1e-13 {
         for (m, fm) in f.iter_mut().enumerate() {
             *fm = 1.0 / (2.0 * m as f64 + 1.0);
         }
-        return f;
+        return;
     }
     if t < 35.0 {
         // Series for the highest order, then downward recursion (stable).
@@ -48,7 +69,22 @@ pub fn boys(m_max: usize, t: f64) -> Vec<f64> {
             f[k + 1] = ((2.0 * k as f64 + 1.0) * f[k] - emt) / (2.0 * t);
         }
     }
-    f
+}
+
+/// Boys orders a stack table holds; higher angular momentum spills to
+/// the heap.
+const BOYS_STACK: usize = 16;
+
+/// Runs `body` on a Boys table `F_0(t) … F_{m_max}(t)`, on the stack when
+/// it fits.
+fn with_boys<R>(m_max: usize, t: f64, body: impl FnOnce(&[f64]) -> R) -> R {
+    if m_max < BOYS_STACK {
+        let mut f = [0.0; BOYS_STACK];
+        boys_into(t, &mut f[..=m_max]);
+        body(&f[..=m_max])
+    } else {
+        body(&boys(m_max, t))
+    }
 }
 
 /// Hermite expansion coefficient `E_t^{ij}` along one axis.
@@ -177,97 +213,127 @@ fn primitive_nuclear(
     let pc = [pcenter[0] - nucleus[0], pcenter[1] - nucleus[1], pcenter[2] - nucleus[2]];
     let r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
     let lmax = (la[0] + lb[0] + la[1] + lb[1] + la[2] + lb[2]) as usize;
-    let f = boys(lmax, p * r2);
-    let mut val = 0.0;
-    for t in 0..=(la[0] + lb[0]) as i32 {
-        for u in 0..=(la[1] + lb[1]) as i32 {
-            for v in 0..=(la[2] + lb[2]) as i32 {
-                let e = hermite_e(la[0] as i32, lb[0] as i32, t, ca[0] - cb[0], a, b)
-                    * hermite_e(la[1] as i32, lb[1] as i32, u, ca[1] - cb[1], a, b)
-                    * hermite_e(la[2] as i32, lb[2] as i32, v, ca[2] - cb[2], a, b);
-                if e == 0.0 {
-                    continue;
+    let val = with_boys(lmax, p * r2, |f| {
+        let mut val = 0.0;
+        for t in 0..=(la[0] + lb[0]) as i32 {
+            for u in 0..=(la[1] + lb[1]) as i32 {
+                for v in 0..=(la[2] + lb[2]) as i32 {
+                    let e = hermite_e(la[0] as i32, lb[0] as i32, t, ca[0] - cb[0], a, b)
+                        * hermite_e(la[1] as i32, lb[1] as i32, u, ca[1] - cb[1], a, b)
+                        * hermite_e(la[2] as i32, lb[2] as i32, v, ca[2] - cb[2], a, b);
+                    if e == 0.0 {
+                        continue;
+                    }
+                    val += e * hermite_r(t, u, v, 0, p, pc, f);
                 }
-                val += e * hermite_r(t, u, v, 0, p, pc, &f);
             }
         }
-    }
+        val
+    });
     2.0 * std::f64::consts::PI / p * val
 }
 
-#[allow(clippy::too_many_arguments)]
-fn primitive_eri(
-    a: f64,
-    la: [u32; 3],
-    ca: [f64; 3],
-    b: f64,
-    lb: [u32; 3],
-    cb: [f64; 3],
-    c: f64,
-    lc: [u32; 3],
-    cc: [f64; 3],
-    d: f64,
-    ld: [u32; 3],
-    cd: [f64; 3],
-) -> f64 {
-    let p = a + b;
-    let q = c + d;
+/// One primitive pair of an ordered AO pair `(a, b)`: every quantity
+/// the ERI kernel derives from one side of a quartet, computed once per
+/// pair instead of once per quartet, each with the expression the
+/// per-quartet code used (so its bits are the same).
+struct PrimitivePair {
+    /// Exponent sum `p = α_a + α_b`.
+    p: f64,
+    /// Gaussian product center `P`.
+    center: [f64; 3],
+    /// Hermite coefficients `E_t^{l_a l_b}` per axis, `t = 0 ..= l_a + l_b`.
+    hermite: [Vec<f64>; 3],
+    /// Total angular momentum `Σ (l_a + l_b)`.
+    l: usize,
+    /// Contraction coefficients of the two primitives.
+    coefs: (f64, f64),
+}
+
+impl PrimitivePair {
+    /// The primitive pairs of `(a, b)`, `a`'s primitives outer.
+    fn of(a: &BasisFunction, b: &BasisFunction) -> Vec<PrimitivePair> {
+        let (la, lb) = (a.powers, b.powers);
+        let mut pairs = Vec::with_capacity(a.exps.len() * b.exps.len());
+        for (&ea, &ca) in a.exps.iter().zip(&a.coefs) {
+            for (&eb, &cb) in b.exps.iter().zip(&b.coefs) {
+                let hermite = std::array::from_fn(|axis| {
+                    let qx = a.center[axis] - b.center[axis];
+                    (0..=(la[axis] + lb[axis]) as i32)
+                        .map(|t| hermite_e(la[axis] as i32, lb[axis] as i32, t, qx, ea, eb))
+                        .collect()
+                });
+                pairs.push(PrimitivePair {
+                    p: ea + eb,
+                    center: gaussian_product_center(ea, a.center, eb, b.center),
+                    hermite,
+                    l: (la.iter().sum::<u32>() + lb.iter().sum::<u32>()) as usize,
+                    coefs: (ca, cb),
+                });
+            }
+        }
+        pairs
+    }
+}
+
+/// The primitive ERI `[ab|cd]` of a bra and a ket primitive pair;
+/// `two_pi_2_5` is `2π^{5/2}`.
+fn primitive_eri(bra: &PrimitivePair, ket: &PrimitivePair, two_pi_2_5: f64) -> f64 {
+    let (p, q) = (bra.p, ket.p);
     let alpha = p * q / (p + q);
-    let pp = gaussian_product_center(a, ca, b, cb);
-    let qq = gaussian_product_center(c, cc, d, cd);
+    let (pp, qq) = (bra.center, ket.center);
     let pq = [pp[0] - qq[0], pp[1] - qq[1], pp[2] - qq[2]];
     let r2 = pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2];
-    let lmax = (la.iter().sum::<u32>()
-        + lb.iter().sum::<u32>()
-        + lc.iter().sum::<u32>()
-        + ld.iter().sum::<u32>()) as usize;
-    let f = boys(lmax, alpha * r2);
-    let mut val = 0.0;
-    for t in 0..=(la[0] + lb[0]) as i32 {
-        for u in 0..=(la[1] + lb[1]) as i32 {
-            for v in 0..=(la[2] + lb[2]) as i32 {
-                let e1 = hermite_e(la[0] as i32, lb[0] as i32, t, ca[0] - cb[0], a, b)
-                    * hermite_e(la[1] as i32, lb[1] as i32, u, ca[1] - cb[1], a, b)
-                    * hermite_e(la[2] as i32, lb[2] as i32, v, ca[2] - cb[2], a, b);
-                if e1 == 0.0 {
-                    continue;
-                }
-                for tau in 0..=(lc[0] + ld[0]) as i32 {
-                    for nu in 0..=(lc[1] + ld[1]) as i32 {
-                        for phi in 0..=(lc[2] + ld[2]) as i32 {
-                            let e2 =
-                                hermite_e(lc[0] as i32, ld[0] as i32, tau, cc[0] - cd[0], c, d)
-                                    * hermite_e(
-                                        lc[1] as i32,
-                                        ld[1] as i32,
-                                        nu,
-                                        cc[1] - cd[1],
-                                        c,
-                                        d,
-                                    )
-                                    * hermite_e(
-                                        lc[2] as i32,
-                                        ld[2] as i32,
-                                        phi,
-                                        cc[2] - cd[2],
-                                        c,
-                                        d,
-                                    );
-                            if e2 == 0.0 {
-                                continue;
+    let val = with_boys(bra.l + ket.l, alpha * r2, |f| {
+        let [ex, ey, ez] = &bra.hermite;
+        let [fx, fy, fz] = &ket.hermite;
+        let mut val = 0.0;
+        for (t, &et) in ex.iter().enumerate() {
+            for (u, &eu) in ey.iter().enumerate() {
+                for (v, &ev) in ez.iter().enumerate() {
+                    let e1 = et * eu * ev;
+                    if e1 == 0.0 {
+                        continue;
+                    }
+                    for (tau, &ft) in fx.iter().enumerate() {
+                        for (nu, &fu) in fy.iter().enumerate() {
+                            for (phi, &fv) in fz.iter().enumerate() {
+                                let e2 = ft * fu * fv;
+                                if e2 == 0.0 {
+                                    continue;
+                                }
+                                let sign = if (tau + nu + phi) % 2 == 0 { 1.0 } else { -1.0 };
+                                let (t, u, v) =
+                                    ((t + tau) as i32, (u + nu) as i32, (v + phi) as i32);
+                                val += e1 * e2 * sign * hermite_r(t, u, v, 0, alpha, pq, f);
                             }
-                            let sign = if (tau + nu + phi) % 2 == 0 { 1.0 } else { -1.0 };
-                            val += e1
-                                * e2
-                                * sign
-                                * hermite_r(t + tau, u + nu, v + phi, 0, alpha, pq, &f);
                         }
                     }
                 }
             }
         }
+        val
+    });
+    two_pi_2_5 / (p * q * (p + q).sqrt()) * val
+}
+
+/// The contracted ERI `(ab|cd)` from the primitive pairs of `(a, b)` and
+/// `(c, d)`: `Σ c_a c_b c_c c_d [ab|cd]`, primitives of `a` outermost.
+fn contracted_eri(bra: &[PrimitivePair], ket: &[PrimitivePair], two_pi_2_5: f64) -> f64 {
+    let mut s = 0.0;
+    for b in bra {
+        let cab = b.coefs.0 * b.coefs.1;
+        for k in ket {
+            s += cab * k.coefs.0 * k.coefs.1 * primitive_eri(b, k, two_pi_2_5);
+        }
     }
-    2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt()) * val
+    s
+}
+
+/// `2π^{5/2}`, the ERI prefactor's constant, as the per-quartet code
+/// computed it.
+fn two_pi_2_5() -> f64 {
+    2.0 * std::f64::consts::PI.powf(2.5)
 }
 
 /// Contracted overlap integral `⟨a|b⟩`.
@@ -309,24 +375,7 @@ pub fn nuclear(a: &BasisFunction, b: &BasisFunction, nucleus: [f64; 3]) -> f64 {
 /// Contracted two-electron repulsion integral `(ab|cd)` in chemist
 /// notation.
 pub fn eri(a: &BasisFunction, b: &BasisFunction, c: &BasisFunction, d: &BasisFunction) -> f64 {
-    let mut s = 0.0;
-    for (&ea, &ca) in a.exps.iter().zip(&a.coefs) {
-        for (&eb, &cb) in b.exps.iter().zip(&b.coefs) {
-            for (&ec, &cc) in c.exps.iter().zip(&c.coefs) {
-                for (&ed, &cd) in d.exps.iter().zip(&d.coefs) {
-                    s += ca
-                        * cb
-                        * cc
-                        * cd
-                        * primitive_eri(
-                            ea, a.powers, a.center, eb, b.powers, b.center, ec, c.powers, c.center,
-                            ed, d.powers, d.center,
-                        );
-                }
-            }
-        }
-    }
-    s
+    contracted_eri(&PrimitivePair::of(a, b), &PrimitivePair::of(c, d), two_pi_2_5())
 }
 
 /// The dense two-electron integral tensor `(pq|rs)`.
@@ -351,6 +400,11 @@ impl EriTensor {
     #[inline]
     pub fn get(&self, p: usize, q: usize, r: usize, s: usize) -> f64 {
         self.data[((p * self.n + q) * self.n + r) * self.n + s]
+    }
+
+    /// The row-major storage: `(pq|rs)` at `((p·n + q)·n + r)·n + s`.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 
     fn set(&mut self, p: usize, q: usize, r: usize, s: usize, v: f64) {
@@ -419,13 +473,20 @@ pub fn compute_ao_integrals(molecule: &Molecule, basis: &BasisSet) -> AoIntegral
             }
         }
     }
+    // Primitive pairs of every ordered pair (p, q ≤ p), at p(p+1)/2 + q.
+    let pairs: Vec<Vec<PrimitivePair>> = (0..n)
+        .flat_map(|p| (0..=p).map(move |q| (p, q)))
+        .map(|(p, q)| PrimitivePair::of(&fs[p], &fs[q]))
+        .collect();
+    let pair = |p: usize, q: usize| &pairs[p * (p + 1) / 2 + q];
+    let two_pi_2_5 = two_pi_2_5();
     let mut tensor = EriTensor { n, data: vec![0.0; n * n * n * n] };
     for p in 0..n {
         for q in 0..=p {
             for r in 0..=p {
                 let s_max = if r == p { q } else { r };
                 for s in 0..=s_max {
-                    let v = eri(&fs[p], &fs[q], &fs[r], &fs[s]);
+                    let v = contracted_eri(pair(p, q), pair(r, s), two_pi_2_5);
                     // All 8 permutations share this value.
                     for (a, b, c, d) in [
                         (p, q, r, s),

@@ -51,4 +51,4 @@ pub use molecules::{
     hydrogen_chain, hydrogen_ring, select_active_space, MoleculeKind, ALL_MOLECULES,
 };
 pub use problem::{qubit_ground_energy, ChemError, ChemPipeline, MolecularProblem, ScfKind};
-pub use scf::{rhf, uhf, ScfError, ScfOptions, ScfResult};
+pub use scf::{rhf, uhf, FockBuilder, ScfError, ScfOptions, ScfResult};

@@ -6,9 +6,8 @@
 //! the qubit counts of Table 1 come out to `2·orbitals − 2`; Jordan-Wigner
 //! is provided as the cross-validation encoding.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{phase_exponent, Pauli, PauliOp, PauliString};
@@ -84,9 +83,42 @@ pub fn spin_orbital(n_spatial: usize, p: usize, spin: Spin) -> usize {
 /// A Pauli sum in flat mask form: `(coefficient, x_mask, z_mask)` triples.
 type MaskTerms = Vec<(Complex64, u64, u64)>;
 
-/// Scratch accumulator keyed by `(x_mask, z_mask)`, reused across blocks
-/// (fixed hash keys, so its iteration order is the same in every run).
-type MaskMap = HashMap<(u64, u64), Complex64, BuildHasherDefault<DefaultHasher>>;
+/// Accumulator keyed by `(x_mask, z_mask)`: the Hamiltonian itself and
+/// the per-block scratch maps. Its hasher is fixed, so its iteration
+/// order is the same in every run.
+type MaskMap = HashMap<(u64, u64), Complex64, BuildHasherDefault<MaskHasher>>;
+
+/// A fast deterministic hasher for mask keys: each word is mixed in by a
+/// multiply and a rotation, and `finish` applies the 64-bit MurmurHash3
+/// finalizer, so every input bit reaches the bucket index and the control
+/// byte. Pauli masks are highly structured (runs of X from the parity
+/// ladder, sparse Z), and a plain multiplicative hash without the
+/// finalizer collides on them.
+#[derive(Debug, Default, Clone, Copy)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(32) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+}
 
 fn mask_terms(op: &PauliOp) -> MaskTerms {
     op.iter().map(|(p, c)| (*c, p.x_mask(), p.z_mask())).collect()
@@ -119,19 +151,25 @@ fn mul_into(
 /// accumulates `½ (pq|rs) a†_rτ a_sτ` over `(r, s)` into a chunk, prunes
 /// it at `1e-14`, then multiplies by `a†_pσ` and `a_qσ`. The pair products
 /// `a†_i a_j` are computed once, and the chunk and both products reuse
-/// scratch maps.
+/// scratch maps. `H` itself accumulates in flat `(x_mask, z_mask)`-keyed
+/// hash shards, sized up front for the largest catalog register; at the
+/// end they are pruned at `1e-10` and freed, and the sorted survivors are
+/// bulk-built into the [`PauliOp`]. Every map hashes with `MaskHasher`.
 ///
 /// **Bit-identity invariant.** The output is fixed to the last bit: a
 /// coefficient's bits depend only on the order in which its contributions
 /// arrive, and that order is set by the loop order `σ, τ, p, q, r, s`
 /// (one contribution per key per `(r, s)` to the chunk, one per key per
-/// block to `H`). Each ladder factor has two terms, so a key of either
-/// product gets at most two contributions, and IEEE addition commutes, so
-/// the scratch maps' iteration order cannot move a bit. Do not reorder
-/// the loops, merge the two ladder products, or change the skips and the
-/// pruning: any of these changes the coefficients' last bits. The bench
-/// crate's `hamiltonian_equivalence` suite pins the output against the
-/// frozen operator-algebra original.
+/// block to `H`, in block order, each added to a `0` entry as
+/// [`PauliOp::add_term`] would). Each ladder factor has two terms, so a
+/// key of either product gets at most two contributions, and IEEE
+/// addition commutes, so no map's iteration order can move a bit; the
+/// term order is the sorted order of the keys. Do not reorder the loops,
+/// merge the two ladder products, or change the skips and the pruning:
+/// any of these changes the coefficients' last bits. The bench crate's
+/// `hamiltonian_equivalence` suite pins the output against the frozen
+/// operator-algebra original, and `chem_equivalence` pins the whole
+/// chemistry chain against its frozen original.
 ///
 /// # Panics
 ///
@@ -147,8 +185,8 @@ pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
         raise_ops.iter().flat_map(|a| lower_ops.iter().map(|b| mask_terms(&a.mul_op(b)))).collect();
     let lower: Vec<MaskTerms> = lower_ops.iter().map(mask_terms).collect();
     let raise: Vec<MaskTerms> = raise_ops.iter().map(mask_terms).collect();
-    let mut h = PauliOp::zero(m);
-    h.add_term(Complex64::from(si.core_energy), PauliString::identity(m));
+    let mut h = ShardedMaskMap::with_capacity(hamiltonian_capacity(m));
+    *h.entry((0, 0)) += Complex64::from(si.core_energy);
     // One-body terms.
     for &sigma in &spins {
         for p in 0..n {
@@ -159,7 +197,7 @@ pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
                 }
                 let ij = spin_orbital(n, p, sigma) * m + spin_orbital(n, q, sigma);
                 for &(c, x, z) in &pair[ij] {
-                    h.add_term(c * Complex64::from(v), PauliString::from_masks(m, x, z));
+                    *h.entry((x, z)) += c * Complex64::from(v);
                 }
             }
         }
@@ -202,15 +240,69 @@ pub fn qubit_hamiltonian(si: &SpinIntegrals, mapping: Mapping) -> PauliOp {
                         mul_into(raise[pi].iter().copied(), kept, &mut left);
                         let product = left.iter().map(|(&(x, z), &c)| (c, x, z));
                         mul_into(product, lower[qi].iter().copied(), &mut term);
-                        for (&(x, z), &c) in &term {
-                            h.add_term(c, PauliString::from_masks(m, x, z));
+                        for (&key, &c) in &term {
+                            *h.entry(key) += c;
                         }
                     }
                 }
             }
         }
     }
-    h.pruned(1e-10)
+    PauliOp::from_sorted_masks(m, h.into_pruned_sorted(1e-10))
+}
+
+/// The Hamiltonian accumulator: [`MaskMap`] shards picked by key, so that
+/// no single table is large. Each shard is then small enough to come from
+/// the allocator's free lists, like the `BTreeMap` nodes it replaced,
+/// instead of one multi-megabyte block that cannot reuse the memory the
+/// previous search freed (one 17 MB table raised a Cr2 bond benchmark's
+/// peak RSS by 11 MB).
+struct ShardedMaskMap {
+    shards: Vec<MaskMap>,
+}
+
+impl ShardedMaskMap {
+    const SHARDS: usize = 256;
+
+    /// Sized for `capacity` keys in all.
+    fn with_capacity(capacity: usize) -> Self {
+        let per_shard = capacity.div_ceil(Self::SHARDS);
+        let shards = (0..Self::SHARDS)
+            .map(|_| MaskMap::with_capacity_and_hasher(per_shard, Default::default()))
+            .collect();
+        ShardedMaskMap { shards }
+    }
+
+    /// The key's coefficient, inserted as `0` if absent (so a first
+    /// contribution `c` is stored as `0 + c`, as `PauliOp::add_term` does).
+    #[inline]
+    fn entry(&mut self, key: (u64, u64)) -> &mut Complex64 {
+        let mixed =
+            (key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key.1).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        let shard = (mixed >> 56) as usize;
+        self.shards[shard].entry(key).or_insert(Complex64::ZERO)
+    }
+
+    /// The terms with `|c| > tol`, sorted by key; each shard is freed as
+    /// soon as it is drained.
+    fn into_pruned_sorted(self, tol: f64) -> Vec<((u64, u64), Complex64)> {
+        let survivors =
+            self.shards.iter().flat_map(|s| s.values()).filter(|c| c.norm() > tol).count();
+        let mut kept = Vec::with_capacity(survivors);
+        for shard in self.shards {
+            kept.extend(shard.into_iter().filter(|(_, c)| c.norm() > tol));
+        }
+        kept.sort_unstable_by_key(|&(key, _)| key);
+        kept
+    }
+}
+
+/// Up-front size of the Hamiltonian accumulator on `m` spin orbitals, so
+/// that it never rehashes (a rehash holds two tables at once). The
+/// largest catalog count, 410 095 keys before pruning for the 34-qubit
+/// Cr2 surrogate (`m = 36`), is 2% under `m⁴/4`.
+fn hamiltonian_capacity(m: usize) -> usize {
+    m * m * m * m / 4
 }
 
 /// The total-number operator `N = Σ_j a†_j a_j` on `2n` qubits.
@@ -268,6 +360,11 @@ pub fn s_squared_operator(n_spatial: usize, mapping: Mapping) -> PauliOp {
 /// eigenvalues are constants, so every (symmetry-conserving) operator term
 /// restricts to the remaining `2n−2` qubits.
 ///
+/// Both removals run on one flat mask list, in the order and arithmetic of
+/// two [`PauliOp::map_terms`] rebuilds (total-parity qubit first, then
+/// the α-parity qubit, colliding keys merged at each stage in sorted
+/// order), followed by a `1e-12` prune and one bulk build.
+///
 /// # Panics
 ///
 /// Panics if any term carries X/Y on a symmetry qubit (i.e. the operator
@@ -279,16 +376,45 @@ pub fn taper_two_qubits(op: &PauliOp, n_alpha: usize, n_beta: usize) -> PauliOp 
     let total_qubit = m - 1;
     let z_alpha = if n_alpha % 2 == 0 { 1.0 } else { -1.0 };
     let z_total = if (n_alpha + n_beta) % 2 == 0 { 1.0 } else { -1.0 };
-    let dropped_total = op.map_terms(m - 1, |p| {
-        let (had_z, q) = p.remove_qubit(total_qubit);
-        (Complex64::from(if had_z { z_total } else { 1.0 }), q)
-    });
-    dropped_total
-        .map_terms(m - 2, |p| {
-            let (had_z, q) = p.remove_qubit(alpha_qubit);
-            (Complex64::from(if had_z { z_alpha } else { 1.0 }), q)
-        })
-        .pruned(1e-12)
+    let mut terms: Vec<((u64, u64), Complex64)> =
+        op.iter().map(|(p, c)| ((p.x_mask(), p.z_mask()), *c)).collect();
+    drop_qubit(&mut terms, total_qubit, z_total);
+    drop_qubit(&mut terms, alpha_qubit, z_alpha);
+    PauliOp::from_sorted_masks(m - 2, terms.into_iter().filter(|(_, c)| c.norm() > 1e-12))
+}
+
+/// Removes `qubit` (Z eigenvalue `z`) from every term of a mask list
+/// sorted by key, leaving it sorted by the new key. Each coefficient is
+/// scaled by `z` where the term has Z on the qubit, and terms whose keys
+/// collide are merged from `0` in list order — the arithmetic and order
+/// of `PauliOp::map_terms`, so the merged bits match a map rebuild.
+///
+/// # Panics
+///
+/// Panics if a term carries X/Y on `qubit`.
+fn drop_qubit(terms: &mut Vec<((u64, u64), Complex64)>, qubit: usize, z: f64) {
+    let bit = 1u64 << qubit;
+    let low = bit - 1;
+    let squeeze = |mask: u64| (mask & low) | ((mask >> 1) & !low);
+    for (key, c) in terms.iter_mut() {
+        let (x, zm) = *key;
+        assert!(x & bit == 0, "cannot remove a qubit carrying X/Y");
+        *c *= Complex64::from(if zm & bit != 0 { z } else { 1.0 });
+        *key = (squeeze(x), squeeze(zm));
+    }
+    // Stable, so colliding keys keep their list order.
+    terms.sort_by_key(|&(key, _)| key);
+    let mut kept = 0;
+    for i in 0..terms.len() {
+        let (key, c) = terms[i];
+        if kept > 0 && terms[kept - 1].0 == key {
+            terms[kept - 1].1 += c;
+        } else {
+            terms[kept] = (key, Complex64::ZERO + c);
+            kept += 1;
+        }
+    }
+    terms.truncate(kept);
 }
 
 /// The Hartree-Fock determinant's bitstring in the chosen encoding.

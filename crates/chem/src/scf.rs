@@ -5,12 +5,22 @@
 //! the molecular orbitals from which every Hamiltonian is built; UHF
 //! supplies the spin-sector-optimized Hamiltonians of Fig. 10 (H2O
 //! triplet) and Fig. 11 (H6 "opt.").
+//!
+//! # Summation order
+//!
+//! An SCF result (energy, coefficients, orbital energies, iteration count,
+//! convergence) is pinned bit for bit against the frozen original loops in
+//! the bench crate (`chem_equivalence`); the iteration count is part of
+//! the contract, since a one-ulp change can flip a convergence test. Every
+//! floating-point sum keeps its original order: the two-electron Fock
+//! build sums each element λ-outer, σ-inner (see [`FockBuilder`]), and
+//! `Matrix::eigh` applies the same Jacobi rotations in the same sequence.
 
 use std::fmt;
 
 use cafqa_linalg::{LinalgError, Matrix};
 
-use crate::integrals::AoIntegrals;
+use crate::integrals::{AoIntegrals, EriTensor};
 
 /// Options controlling the SCF loop.
 #[derive(Debug, Clone)]
@@ -129,19 +139,149 @@ fn density(c: &Matrix, nocc: usize, scale: f64) -> Matrix {
     })
 }
 
-fn fock_2e(ints: &AoIntegrals, d_total: &Matrix, d_same: &Matrix, exchange_scale: f64) -> Matrix {
-    let n = d_total.rows();
-    Matrix::from_fn(n, n, |mu, nu| {
-        let mut j = 0.0;
-        let mut k = 0.0;
-        for lam in 0..n {
-            for sig in 0..n {
-                j += d_total[(lam, sig)] * ints.eri.get(mu, nu, lam, sig);
-                k += d_same[(lam, sig)] * ints.eri.get(mu, lam, sig, nu);
+/// The two-electron part of the Fock matrix, `G = J − s·K`, with
+/// `J_μν = Σ_λσ D_λσ (μν|λσ)` and `K_μν = Σ_λσ D'_λσ (μλ|σν)` over one
+/// AO ERI tensor. [`rhf`] and [`uhf`] make one per call and build every
+/// iteration's `G` through it.
+///
+/// **Summation order.** Each `J_μν` and `K_μν` is one running sum from
+/// `0.0`, λ-outer, σ-inner, of `D_λσ · (eri)`, and `G_μν = J_μν − s·K_μν`:
+/// the order of the element-wise build this replaced, so its bits are
+/// unchanged. The build streams instead of gathering: construction copies
+/// the ERI once into `(μ, λσ, ν)` order for `J`, and `K` reads the
+/// tensor's own `(μλ|σν)` layout, so for fixed `(μ, λ, σ)` both operands
+/// are contiguous in `ν` and a register block of up to eight `(μ, ν)`
+/// accumulators for each of `J` and `K` advances side by side. When
+/// `(μν|λσ)` equals `(νμ|λσ)` bit for bit — always for
+/// [`compute_ao_integrals`](crate::compute_ao_integrals), which fills the
+/// tensor by 8-fold copy — `J_νμ` is the same sum as `J_μν`, so blocks
+/// wholly below the diagonal take `J` from the mirror; otherwise `J` is
+/// summed in full. `K` has no bitwise symmetry (`K_νμ` sums the same
+/// products σ-outer) and is always summed in full.
+#[derive(Debug, Clone)]
+pub struct FockBuilder<'a> {
+    n: usize,
+    /// `(μλ|σν)` at `((μ·n + λ)·n + σ)·n + ν`: the tensor's own storage.
+    exchange: &'a [f64],
+    /// `(μν|λσ)` at `((μ·n + λ)·n + σ)·n + ν`.
+    coulomb: Vec<f64>,
+    /// Whether `(μν|λσ) ≡ (νμ|λσ)` bit for bit for every index.
+    pair_symmetric: bool,
+}
+
+impl<'a> FockBuilder<'a> {
+    /// Prepares the streaming build over `eri` (one `n⁴` copy).
+    pub fn new(eri: &'a EriTensor) -> Self {
+        let n = eri.len();
+        let mut coulomb = vec![0.0; n * n * n * n];
+        let mut pair_symmetric = true;
+        for mu in 0..n {
+            for nu in 0..n {
+                for lam in 0..n {
+                    for sig in 0..n {
+                        let v = eri.get(mu, nu, lam, sig);
+                        pair_symmetric &= v.to_bits() == eri.get(nu, mu, lam, sig).to_bits();
+                        coulomb[((mu * n + lam) * n + sig) * n + nu] = v;
+                    }
+                }
             }
         }
-        j - exchange_scale * k
-    })
+        FockBuilder { n, exchange: eri.as_slice(), coulomb, pair_symmetric }
+    }
+
+    /// `G = J[d_total] − exchange_scale · K[d_same]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either density is not `n × n`.
+    pub fn two_electron(&self, d_total: &Matrix, d_same: &Matrix, exchange_scale: f64) -> Matrix {
+        let n = self.n;
+        assert!(
+            (d_total.rows(), d_total.cols(), d_same.rows(), d_same.cols()) == (n, n, n, n),
+            "density shape does not match the ERI tensor"
+        );
+        let (d_total, d_same) = (d_total.as_slice(), d_same.as_slice());
+        let mut j = vec![0.0; n * n];
+        let mut k = vec![0.0; n];
+        let mut g = Matrix::zeros(n, n);
+        let slab = n * n * n;
+        for mu in 0..n {
+            let coulomb = &self.coulomb[mu * slab..(mu + 1) * slab];
+            let exchange = &self.exchange[mu * slab..(mu + 1) * slab];
+            let j_row = &mut j[mu * n..(mu + 1) * n];
+            // Blocks wholly below the diagonal (a prefix of the row) take
+            // J from the mirror.
+            let mut mirrored_end = 0;
+            let mut start = 0;
+            while start < n {
+                let width = [8, 4, 2, 1].into_iter().find(|&w| w <= n - start).unwrap_or(1);
+                let mirrored = self.pair_symmetric && start + width <= mu;
+                if mirrored {
+                    mirrored_end = start + width;
+                }
+                let coulomb = (!mirrored).then_some(coulomb);
+                let block = FockBlock { n, start, d_total, d_same, coulomb, exchange };
+                match width {
+                    8 => block.sum::<8>(j_row, &mut k),
+                    4 => block.sum::<4>(j_row, &mut k),
+                    2 => block.sum::<2>(j_row, &mut k),
+                    _ => block.sum::<1>(j_row, &mut k),
+                }
+                start += width;
+            }
+            for nu in 0..n {
+                let j_mu_nu = if nu < mirrored_end { j[nu * n + mu] } else { j[mu * n + nu] };
+                g[(mu, nu)] = j_mu_nu - exchange_scale * k[nu];
+            }
+        }
+        g
+    }
+}
+
+/// One register block of a Fock row: lanes `start..start + W` of row `μ`
+/// (the operand slabs are already row `μ`'s).
+struct FockBlock<'s> {
+    n: usize,
+    start: usize,
+    d_total: &'s [f64],
+    d_same: &'s [f64],
+    /// `None` when the block's `J` comes from the mirror.
+    coulomb: Option<&'s [f64]>,
+    exchange: &'s [f64],
+}
+
+impl FockBlock<'_> {
+    /// Sums the block's `J` (when not mirrored) and `K` lanes into
+    /// `j_row` and `k`, λσ in order.
+    fn sum<const W: usize>(&self, j_row: &mut [f64], k: &mut [f64]) {
+        let (n, start) = (self.n, self.start);
+        let lanes = |ops: &'_ [f64], ls: usize| -> [f64; W] {
+            ops[ls * n + start..ls * n + start + W].try_into().expect("block lanes")
+        };
+        let mut kb = [0.0; W];
+        match self.coulomb {
+            Some(coulomb) => {
+                let mut jb = [0.0; W];
+                for (ls, (&dj, &dk)) in self.d_total.iter().zip(self.d_same).enumerate() {
+                    let (jo, ko) = (lanes(coulomb, ls), lanes(self.exchange, ls));
+                    for lane in 0..W {
+                        jb[lane] += dj * jo[lane];
+                        kb[lane] += dk * ko[lane];
+                    }
+                }
+                j_row[start..start + W].copy_from_slice(&jb);
+            }
+            None => {
+                for (ls, &dk) in self.d_same.iter().enumerate() {
+                    let ko = lanes(self.exchange, ls);
+                    for lane in 0..W {
+                        kb[lane] += dk * ko[lane];
+                    }
+                }
+            }
+        }
+        k[start..start + W].copy_from_slice(&kb);
+    }
 }
 
 struct Diis {
@@ -253,13 +393,14 @@ pub fn rhf(
     let x = ints.overlap.inv_sqrt_symmetric(1e-9)?;
     let (mut c, mut eps) = solve_fock(&ints.core_hamiltonian, &x, None, 0.0)?;
     let mut d = density(&c, nocc, 2.0);
+    let fock_2e = FockBuilder::new(&ints.eri);
     let mut diis = Diis::new(opts.diis_depth);
     let mut energy = f64::INFINITY;
     let mut converged = false;
     let mut iterations = 0;
     for it in 0..opts.max_iterations {
         iterations = it + 1;
-        let g = fock_2e(ints, &d, &d, 0.5);
+        let g = fock_2e.two_electron(&d, &d, 0.5);
         let fock = &ints.core_hamiltonian + &g;
         let e_elec: f64 = (0..n)
             .flat_map(|mu| (0..n).map(move |nu| (mu, nu)))
@@ -344,6 +485,7 @@ pub fn uhf(
     }
     let mut da = density(&ca, n_alpha, 1.0);
     let mut db = density(&cb, n_beta, 1.0);
+    let fock_2e = FockBuilder::new(&ints.eri);
     let mut diis_a = Diis::new(opts.diis_depth);
     let mut diis_b = Diis::new(opts.diis_depth);
     let mut energy = f64::INFINITY;
@@ -352,8 +494,8 @@ pub fn uhf(
     for it in 0..opts.max_iterations {
         iterations = it + 1;
         let d_total = &da + &db;
-        let fa = &ints.core_hamiltonian + &fock_2e(ints, &d_total, &da, 1.0);
-        let fb = &ints.core_hamiltonian + &fock_2e(ints, &d_total, &db, 1.0);
+        let fa = &ints.core_hamiltonian + &fock_2e.two_electron(&d_total, &da, 1.0);
+        let fb = &ints.core_hamiltonian + &fock_2e.two_electron(&d_total, &db, 1.0);
         let mut e_elec = 0.0;
         for mu in 0..n {
             for nu in 0..n {

@@ -196,35 +196,39 @@ impl Matrix {
             return Err(LinalgError::DimensionMismatch { context: "eigh" });
         }
         let n = self.rows;
-        let mut a = self.clone();
-        let mut v = Matrix::identity(n);
         if n == 0 {
-            return Ok(Eigh { values: vec![], vectors: v });
+            return Ok(Eigh { values: vec![], vectors: Matrix::identity(0) });
         }
+        // The working copy is row-major; the eigenvectors accumulate as
+        // the rows of `vt = Vᵀ`, so two of the three updates per rotation
+        // run over contiguous rows. Every element sees the same products
+        // and sums as with a column-stored `V`, so the bits do not move.
+        let mut a = self.data.clone();
+        let mut vt = Matrix::identity(n).data;
         const MAX_SWEEPS: usize = 128;
         let scale = self.frobenius_norm().max(1.0);
         for _sweep in 0..MAX_SWEEPS {
             let mut off = 0.0;
             for i in 0..n {
-                for j in (i + 1)..n {
-                    off += a[(i, j)] * a[(i, j)];
+                for &aij in &a[i * n + i + 1..(i + 1) * n] {
+                    off += aij * aij;
                 }
             }
             if off.sqrt() <= 1e-14 * scale {
                 let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&p, &q| a[(p, p)].partial_cmp(&a[(q, q)]).unwrap());
-                let values = order.iter().map(|&k| a[(k, k)]).collect();
-                let vectors = Matrix::from_fn(n, n, |i, j| v[(i, order[j])]);
+                order.sort_by(|&p, &q| a[p * n + p].partial_cmp(&a[q * n + q]).unwrap());
+                let values = order.iter().map(|&k| a[k * n + k]).collect();
+                let vectors = Matrix::from_fn(n, n, |i, j| vt[order[j] * n + i]);
                 return Ok(Eigh { values, vectors });
             }
             for p in 0..n {
                 for q in (p + 1)..n {
-                    let apq = a[(p, q)];
+                    let apq = a[p * n + q];
                     if apq.abs() <= 1e-300 {
                         continue;
                     }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
+                    let app = a[p * n + p];
+                    let aqq = a[q * n + q];
                     // Standard Jacobi rotation: choose t = tan(θ) from the
                     // stable quadratic root so |θ| ≤ π/4.
                     let tau = (aqq - app) / (2.0 * apq);
@@ -235,24 +239,14 @@ impl Matrix {
                     };
                     let c = 1.0 / (1.0 + t * t).sqrt();
                     let s = t * c;
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akq = a[(k, q)];
-                        a[(k, p)] = c * akp - s * akq;
-                        a[(k, q)] = s * akp + c * akq;
+                    for row in a.chunks_exact_mut(n) {
+                        let akp = row[p];
+                        let akq = row[q];
+                        row[p] = c * akp - s * akq;
+                        row[q] = s * akp + c * akq;
                     }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let aqk = a[(q, k)];
-                        a[(p, k)] = c * apk - s * aqk;
-                        a[(q, k)] = s * apk + c * aqk;
-                    }
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
+                    rotate_rows(&mut a, n, p, q, c, s);
+                    rotate_rows(&mut vt, n, p, q, c, s);
                 }
             }
         }
@@ -340,6 +334,19 @@ impl Matrix {
             x[i] = acc / a[(i, i)];
         }
         Ok(x)
+    }
+}
+
+/// Applies the Jacobi rotation `(c, s)` to rows `p < q` of a row-major
+/// `n`-column buffer: `row_p ← c·row_p − s·row_q`, `row_q ← s·row_p +
+/// c·row_q`.
+fn rotate_rows(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = data.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    for (xp, xq) in row_p.iter_mut().zip(&mut tail[..n]) {
+        let (vp, vq) = (*xp, *xq);
+        *xp = c * vp - s * vq;
+        *xq = s * vp + c * vq;
     }
 }
 

@@ -58,6 +58,28 @@ impl PauliOp {
         op
     }
 
+    /// Builds an operator in one bulk pass from mask-form terms
+    /// `((x_mask, z_mask), coefficient)` already in the operator's term
+    /// order: sorted strictly ascending by `(x_mask, z_mask)`, with no
+    /// duplicates (so nothing is merged).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are not strictly ascending, or if a mask has
+    /// bits at or above `n`.
+    pub fn from_sorted_masks(
+        n: usize,
+        terms: impl IntoIterator<Item = ((u64, u64), Complex64)>,
+    ) -> Self {
+        let mut last = None;
+        let terms = terms.into_iter().map(|((x, z), c)| {
+            assert!(last < Some((x, z)), "mask terms must be sorted and unique");
+            last = Some((x, z));
+            (PauliString::from_masks(n, x, z), c)
+        });
+        PauliOp { n, terms: terms.collect() }
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {
